@@ -2,18 +2,19 @@
 //!
 //! The VWR2A paper places the CGRA inside a heterogeneous edge SoC, next
 //! to a Cortex-M4 host and fixed-function accelerators.  This module is
-//! that SoC's execution substrate seen through one interface: a
-//! [`Backend`] accepts `(kernel, windows)` jobs, reports residency and
-//! warmth, and executes windows onto its own [`crate::pipeline::
-//! StreamSchedule`]-backed timeline.  Three implementations ship:
+//! that SoC's execution substrate as one closed enum: a [`Backend`]
+//! accepts `(kernel, windows)` jobs, reports residency and warmth, and
+//! executes windows whose phases the pool replays on the backend's own
+//! [`crate::pipeline::StreamSchedule`].  It has three variants:
 //!
-//! * [`ArrayBackend`] — a CGRA array ([`Session`] + stream schedule),
-//!   with the full prefetch/eviction residency story;
-//! * [`FftBackend`] — the fixed-function FFT engine
-//!   ([`vwr2a_fftaccel::FftAccelerator`]), costed from its own cycle
-//!   model (setup + butterflies + IO) and accepting only FFT-shaped jobs;
-//! * [`CpuBackend`] — the Cortex-M4 host ISS, for tiny jobs where an
-//!   array's configuration-reload cost would dominate.
+//! * [`Backend::Array`] — a CGRA array (a full [`Session`]), with the
+//!   full prefetch/eviction residency story;
+//! * [`Backend::Fft`] — the fixed-function FFT engine ([`FftBackend`],
+//!   around [`vwr2a_fftaccel::FftAccelerator`]), costed from its own
+//!   cycle model (setup + butterflies + IO) and accepting only
+//!   FFT-shaped jobs;
+//! * [`Backend::Cpu`] — the Cortex-M4 host ISS ([`CpuBackend`]), for tiny
+//!   jobs where an array's configuration-reload cost would dominate.
 //!
 //! A kernel advertises which backends besides the CGRA could serve it via
 //! [`crate::Kernel::offload`]; the pool's placement strategies match that
@@ -115,155 +116,170 @@ impl Offload {
     }
 }
 
-/// Mutable access to a backend's execution substrate, for the pool's
-/// generic per-window dispatch (the crate-private `run_window_on`).
+/// One execution substrate under the pool's scheduler — the closed set of
+/// engines on the VWR2A SoC.
+///
+/// Build one from its substrate with `From` (`Backend::from(session)`,
+/// `FftBackend::new().into()`); [`crate::pool::Pool::with_backend`]
+/// accepts any of the three directly.
 #[derive(Debug)]
-pub enum ExecHandle<'a> {
-    /// A CGRA array session.
-    Array(&'a mut Session),
+pub enum Backend {
+    /// A CGRA array: a full [`Session`], with warm relaunches, eviction
+    /// and speculative configuration prefetch.  Boxed because a session
+    /// dwarfs the other substrates.
+    Array(Box<Session>),
     /// The fixed-function FFT engine.
-    Fft(&'a mut FftBackend),
-    /// The Cortex-M4 host.
-    Cpu(&'a mut CpuBackend),
+    Fft(FftBackend),
+    /// The Cortex-M4 host CPU.
+    Cpu(CpuBackend),
 }
 
-/// One execution substrate under the pool's scheduler.
-///
-/// The trait is object-safe — the pool stores `Vec<Box<dyn Backend>>` —
-/// so per-kernel work (program footprints, window execution) happens in
-/// generic pool code through [`ExecHandle`] and the crate-private
-/// `run_window_on` rather than on the trait itself.
-pub trait Backend: fmt::Debug + Send {
+impl From<Session> for Backend {
+    fn from(session: Session) -> Self {
+        Backend::Array(Box::new(session))
+    }
+}
+
+impl From<FftBackend> for Backend {
+    fn from(fft: FftBackend) -> Self {
+        Backend::Fft(fft)
+    }
+}
+
+impl From<CpuBackend> for Backend {
+    fn from(cpu: CpuBackend) -> Self {
+        Backend::Cpu(cpu)
+    }
+}
+
+impl Backend {
     /// What kind of substrate this is.
-    fn kind(&self) -> BackendKind;
+    pub fn kind(&self) -> BackendKind {
+        match self {
+            Backend::Array(_) => BackendKind::Array,
+            Backend::Fft(_) => BackendKind::FftAccel,
+            Backend::Cpu(_) => BackendKind::Cpu,
+        }
+    }
 
     /// Capability mask of the jobs this backend can serve
     /// ([`CAP_CGRA`] / [`CAP_FFT`] / [`CAP_CPU`]).
-    fn capabilities(&self) -> u32;
+    pub fn capabilities(&self) -> u32 {
+        match self {
+            Backend::Array(_) => CAP_CGRA,
+            Backend::Fft(_) => CAP_FFT,
+            Backend::Cpu(_) => CAP_CPU,
+        }
+    }
 
-    /// The CGRA array geometry, for backends that have one.  The pool
-    /// prices configuration reloads per backend through this — mixed
-    /// geometries across a fleet are legal.
-    fn geometry(&self) -> Option<&Geometry>;
+    /// The CGRA array geometry, for arrays.  The pool prices
+    /// configuration reloads per backend through this — mixed geometries
+    /// across a fleet are legal.
+    pub fn geometry(&self) -> Option<&Geometry> {
+        self.as_session()
+            .map(|session| session.accelerator().geometry())
+    }
 
     /// `true` if the program behind `key` is resident on this backend
     /// (loaded in an array's configuration memory; the engine's current
-    /// programming for fixed-function backends).
-    fn is_resident(&self, key: &str) -> bool;
+    /// programming for the FFT engine; never for the CPU).
+    pub fn is_resident(&self, key: &str) -> bool {
+        match self {
+            Backend::Array(session) => session.is_resident_key(key),
+            Backend::Fft(fft) => fft.programmed.as_deref() == Some(key),
+            Backend::Cpu(_) => false,
+        }
+    }
 
-    /// `true` if a launch of `key` would pay no configuration reload.
-    fn is_warm(&self, key: &str) -> bool;
+    /// `true` if a launch of `key` would pay no configuration reload (the
+    /// CPU has no configuration memory, so it is always warm).
+    pub fn is_warm(&self, key: &str) -> bool {
+        match self {
+            Backend::Array(session) => session.is_warm_key(key),
+            Backend::Fft(_) => self.is_resident(key),
+            Backend::Cpu(_) => true,
+        }
+    }
 
     /// Number of distinct programs resident on the backend.
-    fn loaded_programs(&self) -> usize;
+    pub fn loaded_programs(&self) -> usize {
+        match self {
+            Backend::Array(session) => session.loaded_programs(),
+            Backend::Fft(fft) => usize::from(fft.programmed.is_some()),
+            Backend::Cpu(_) => 0,
+        }
+    }
 
     /// Lifetime compute-busy cycles — the load metric behind
     /// [`crate::pool::LeastLoaded`].
-    fn busy_compute(&self) -> u64;
+    pub fn busy_compute(&self) -> u64 {
+        match self {
+            Backend::Array(session) => session.free_compute_at(),
+            Backend::Fft(fft) => fft.busy_compute,
+            Backend::Cpu(cpu) => cpu.busy_compute,
+        }
+    }
 
     /// Modelled cycles for one window of a job with the given offload
-    /// declaration, or `None` if this backend cannot serve the job (or
-    /// does not model per-window cost, like the arrays, whose cost comes
-    /// from observed execution instead).
-    fn window_cycles(&self, offload: &Offload) -> Option<u64>;
+    /// declaration, or `None` if this backend cannot serve the job — or
+    /// is an array, whose per-window cost comes from observed execution
+    /// instead.
+    pub fn window_cycles(&self, offload: &Offload) -> Option<u64> {
+        match self {
+            Backend::Array(_) => None,
+            Backend::Fft(fft) => fft.window_cycles(offload),
+            Backend::Cpu(_) => offload.cpu_cycles,
+        }
+    }
 
     /// Modelled energy for one window of a job with the given offload
     /// declaration, in nanojoules — `None` under the same conditions as
     /// [`Backend::window_cycles`].  Offload backends derive it from their
     /// own cycle model through the [`vwr2a_energy::EnergyModel`]
-    /// calibration; arrays return `None` (their estimate comes from the
-    /// pool's observed per-window cycles instead).
-    fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
-        let _ = offload;
-        None
+    /// calibration.
+    pub fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
+        let model = vwr2a_energy::EnergyModel::calibrated();
+        match self {
+            Backend::Array(_) => None,
+            Backend::Fft(fft) => fft
+                .window_cycles(offload)
+                .map(|cycles| model.fft_window_nj(cycles)),
+            Backend::Cpu(_) => offload.cpu_cycles.map(|cycles| model.cpu_window_nj(cycles)),
+        }
     }
 
-    /// Mutable handle onto the substrate, for window execution.
-    fn exec(&mut self) -> ExecHandle<'_>;
-
-    /// The underlying [`Session`], for CGRA backends.
-    fn as_session(&self) -> Option<&Session> {
-        None
+    /// The underlying [`Session`], for arrays.
+    pub fn as_session(&self) -> Option<&Session> {
+        match self {
+            Backend::Array(session) => Some(session),
+            _ => None,
+        }
     }
 
-    /// Mutable access to the underlying [`Session`], for CGRA backends.
-    fn as_session_mut(&mut self) -> Option<&mut Session> {
-        None
-    }
-}
-
-/// A CGRA array as a [`Backend`]: wraps a [`Session`], preserving the
-/// full residency story — warm relaunches, LRU (or custom) eviction and
-/// speculative configuration prefetch.
-#[derive(Debug)]
-pub struct ArrayBackend {
-    session: Session,
-}
-
-impl ArrayBackend {
-    /// Wraps a session.
-    pub fn new(session: Session) -> Self {
-        Self { session }
-    }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Mutable access to the wrapped session.
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
+    /// Runs one window of `kernel`, folding launch and cycle accounting
+    /// into `report` and returning the output with its per-engine phase
+    /// split (which the caller replays on the backend's stream schedule)
+    /// and the window's measured energy in nanojoules (the delta the
+    /// substrate priced into [`RunReport::energy_nj`], which the caller
+    /// attributes to the job's route).
+    pub(crate) fn run_window<K: Kernel>(
+        &mut self,
+        kernel: &K,
+        key: &str,
+        input: &K::Input,
+        report: &mut RunReport,
+    ) -> Result<(K::Output, WindowPhases, u64)> {
+        let priced_before = report.energy_nj;
+        let (output, phases) = match self {
+            Backend::Array(session) => session.run_into(kernel, input, report),
+            Backend::Fft(fft) => fft.run_into(kernel, key, input, report),
+            Backend::Cpu(cpu) => cpu.run_into(kernel, input, report),
+        }?;
+        Ok((output, phases, report.energy_nj - priced_before))
     }
 }
 
-impl Backend for ArrayBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Array
-    }
-
-    fn capabilities(&self) -> u32 {
-        CAP_CGRA
-    }
-
-    fn geometry(&self) -> Option<&Geometry> {
-        Some(self.session.accelerator().geometry())
-    }
-
-    fn is_resident(&self, key: &str) -> bool {
-        self.session.is_resident_key(key)
-    }
-
-    fn is_warm(&self, key: &str) -> bool {
-        self.session.is_warm_key(key)
-    }
-
-    fn loaded_programs(&self) -> usize {
-        self.session.loaded_programs()
-    }
-
-    fn busy_compute(&self) -> u64 {
-        self.session.free_compute_at()
-    }
-
-    fn window_cycles(&self, _offload: &Offload) -> Option<u64> {
-        None
-    }
-
-    fn exec(&mut self) -> ExecHandle<'_> {
-        ExecHandle::Array(&mut self.session)
-    }
-
-    fn as_session(&self) -> Option<&Session> {
-        Some(&self.session)
-    }
-
-    fn as_session_mut(&mut self) -> Option<&mut Session> {
-        Some(&mut self.session)
-    }
-}
-
-/// The fixed-function FFT engine as a [`Backend`].
+/// The fixed-function FFT engine, the substrate of [`Backend::Fft`].
 ///
 /// The engine has no configuration memory — it is programmed over the
 /// slave port before every run, which its cycle model charges as
@@ -297,6 +313,14 @@ impl FftBackend {
     /// The wrapped accelerator model.
     pub fn accelerator(&self) -> &FftAccelerator {
         &self.accel
+    }
+
+    /// The engine's modelled cycles for one window of a job with the
+    /// given offload declaration (`None` unless the job is FFT-shaped and
+    /// the engine supports its size).
+    pub fn window_cycles(&self, offload: &Offload) -> Option<u64> {
+        let shape = offload.fft?;
+        self.accel.projected_cycles(shape.points, shape.real).ok()
     }
 
     /// Runs one window, folding launch/cycle accounting into `report`.
@@ -340,51 +364,7 @@ impl Default for FftBackend {
     }
 }
 
-impl Backend for FftBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::FftAccel
-    }
-
-    fn capabilities(&self) -> u32 {
-        CAP_FFT
-    }
-
-    fn geometry(&self) -> Option<&Geometry> {
-        None
-    }
-
-    fn is_resident(&self, key: &str) -> bool {
-        self.programmed.as_deref() == Some(key)
-    }
-
-    fn is_warm(&self, key: &str) -> bool {
-        self.is_resident(key)
-    }
-
-    fn loaded_programs(&self) -> usize {
-        usize::from(self.programmed.is_some())
-    }
-
-    fn busy_compute(&self) -> u64 {
-        self.busy_compute
-    }
-
-    fn window_cycles(&self, offload: &Offload) -> Option<u64> {
-        let shape = offload.fft?;
-        self.accel.projected_cycles(shape.points, shape.real).ok()
-    }
-
-    fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
-        self.window_cycles(offload)
-            .map(|cycles| vwr2a_energy::EnergyModel::calibrated().fft_window_nj(cycles))
-    }
-
-    fn exec(&mut self) -> ExecHandle<'_> {
-        ExecHandle::Fft(self)
-    }
-}
-
-/// The Cortex-M4 host CPU as a [`Backend`].
+/// The Cortex-M4 host CPU, the substrate of [`Backend::Cpu`].
 ///
 /// The host has no configuration memory: every job is "warm" (a launch
 /// never pays a reload), which is exactly why tiny jobs — whose array
@@ -435,71 +415,4 @@ impl Default for CpuBackend {
     fn default() -> Self {
         Self::new()
     }
-}
-
-impl Backend for CpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Cpu
-    }
-
-    fn capabilities(&self) -> u32 {
-        CAP_CPU
-    }
-
-    fn geometry(&self) -> Option<&Geometry> {
-        None
-    }
-
-    fn is_resident(&self, _key: &str) -> bool {
-        false
-    }
-
-    fn is_warm(&self, _key: &str) -> bool {
-        true
-    }
-
-    fn loaded_programs(&self) -> usize {
-        0
-    }
-
-    fn busy_compute(&self) -> u64 {
-        self.busy_compute
-    }
-
-    fn window_cycles(&self, offload: &Offload) -> Option<u64> {
-        offload.cpu_cycles
-    }
-
-    fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
-        offload
-            .cpu_cycles
-            .map(|cycles| vwr2a_energy::EnergyModel::calibrated().cpu_window_nj(cycles))
-    }
-
-    fn exec(&mut self) -> ExecHandle<'_> {
-        ExecHandle::Cpu(self)
-    }
-}
-
-/// Runs one window of `kernel` on `backend`, folding launch and cycle
-/// accounting into `report` and returning the output with its per-engine
-/// phase split (which the caller replays on the backend's stream
-/// schedule) and the window's measured energy in nanojoules (the delta
-/// each substrate's executor priced into [`RunReport::energy_nj`], which
-/// the caller attributes to the landed job's route).  The generic bridge
-/// between the pool's typed fan-out and the type-erased backend vector.
-pub(crate) fn run_window_on<K: Kernel>(
-    backend: &mut dyn Backend,
-    kernel: &K,
-    key: &str,
-    input: &K::Input,
-    report: &mut RunReport,
-) -> Result<(K::Output, WindowPhases, u64)> {
-    let priced_before = report.energy_nj;
-    let (output, phases) = match backend.exec() {
-        ExecHandle::Array(session) => session.run_into(kernel, input, report),
-        ExecHandle::Fft(fft) => fft.run_into(kernel, key, input, report),
-        ExecHandle::Cpu(cpu) => cpu.run_into(kernel, input, report),
-    }?;
-    Ok((output, phases, report.energy_nj - priced_before))
 }

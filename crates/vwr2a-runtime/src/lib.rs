@@ -36,10 +36,11 @@
 //!   replay the streaming on the otherwise-idle configuration-load lane
 //!   ([`StreamSchedule::prefetch`]), where it overlaps the compute
 //!   backlog instead of delaying the launch.
-//! * **Heterogeneous fleet scheduling** — a [`Pool`] owns N [`Backend`]s:
-//!   CGRA arrays ([`ArrayBackend`], each a full session), and optionally
-//!   the fixed-function FFT engine ([`FftBackend`]) and the Cortex-M4
-//!   host ([`CpuBackend`]).  A kernel advertises non-CGRA
+//! * **Heterogeneous fleet scheduling** — a [`Pool`] owns N [`Backend`]s,
+//!   a closed enum over the SoC's engines: CGRA arrays
+//!   ([`Backend::Array`], each a full session), and optionally the
+//!   fixed-function FFT engine ([`FftBackend`]) and the Cortex-M4 host
+//!   ([`CpuBackend`]).  A kernel advertises non-CGRA
 //!   implementations via [`Kernel::offload`]; a pluggable [`Placement`]
 //!   strategy returns a [`PlacementPlan`] (target backend + optional
 //!   [`PrefetchDirective`]) over capability-filtered [`BackendView`]s.
@@ -94,8 +95,7 @@ pub mod session;
 pub mod testing;
 
 pub use backend::{
-    ArrayBackend, Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload, CAP_CGRA,
-    CAP_CPU, CAP_FFT,
+    Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload, CAP_CGRA, CAP_CPU, CAP_FFT,
 };
 pub use error::{Result, RuntimeError};
 pub use pipeline::{StreamSchedule, WindowPhases};

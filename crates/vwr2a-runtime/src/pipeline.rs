@@ -43,6 +43,8 @@
 use vwr2a_core::timeline::{Engine, Span, Timeline};
 use vwr2a_soc::irq::latency;
 
+use crate::report::RunReport;
+
 /// Per-engine durations of one kernel invocation (one window), collected
 /// by the session's [`crate::LaunchCtx`] while the invocation executes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -259,6 +261,14 @@ impl StreamSchedule {
             }
         }
         self.timeline
+    }
+
+    /// Finishes the schedule and stamps its overlapped wall clock and
+    /// per-engine occupancy onto `report`.
+    pub fn finish_into(self, report: &mut RunReport) {
+        let timeline = self.finish();
+        report.wall_cycles = timeline.wall_cycles();
+        report.busy = timeline.occupancy();
     }
 }
 

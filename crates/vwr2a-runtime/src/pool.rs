@@ -4,11 +4,11 @@
 //!
 //! # The scheduling model
 //!
-//! A [`Pool`] owns N independent [`Backend`]s — CGRA arrays (each a full
-//! [`Session`] with its own `Vwr2a`, configuration memory and eviction
-//! policy, see [`crate::backend::ArrayBackend`]), and optionally the
-//! fixed-function FFT engine ([`crate::backend::FftBackend`]) and the
-//! Cortex-M4 host ([`crate::backend::CpuBackend`]).  A *job* is one
+//! A [`Pool`] owns N independent [`Backend`]s — CGRA arrays
+//! ([`Backend::Array`], each a full [`Session`] with its own `Vwr2a`,
+//! configuration memory and eviction policy), and optionally the
+//! fixed-function FFT engine ([`Backend::Fft`]) and the Cortex-M4 host
+//! ([`Backend::Cpu`]).  A *job* is one
 //! `(kernel, windows)` workload: a kernel plus the window stream to run
 //! through it.  [`Pool::run_batch`] / [`Pool::run_stream`] place each job
 //! on one backend via the pool's [`Placement`] strategy and execute its
@@ -103,7 +103,7 @@ use std::fmt;
 use vwr2a_core::timeline::Engine;
 use vwr2a_energy::EnergyModel;
 
-use crate::backend::{run_window_on, ArrayBackend, Backend, BackendKind};
+use crate::backend::{Backend, BackendKind};
 use crate::error::{Result, RuntimeError};
 use crate::pipeline::StreamSchedule;
 use crate::report::{ArrayReport, FleetReport, JobRoute, RunReport};
@@ -134,15 +134,21 @@ pub struct JobView<'a> {
     /// [`crate::backend::CAP_CPU`] bits ([`crate::backend::Offload::classes`]).
     pub classes: u32,
     /// The pool's learned per-window compute estimate for this cache key
-    /// on a CGRA array (mean observed compute cycles; `0` before the key
-    /// has ever run) — what [`CostAware`] compares against an offload
-    /// backend's modelled [`BackendView::window_cycles`].
+    /// on a CGRA array (mean observed compute cycles) — what [`CostAware`]
+    /// compares against an offload backend's modelled
+    /// [`BackendView::window_cycles`].  Before the key has ever run on an
+    /// array the two callers differ: a batch fan-out ([`Pool::run_batch`])
+    /// hints `0`, while the serving layer ([`crate::Server`]) hints the
+    /// array-wide learned mean, else the program's configuration-word
+    /// footprint, either floored by the FFT engine's modelled window when
+    /// the job could run there.
     pub window_cycles_hint: u64,
     /// Estimated energy of one window of this job on a CGRA array, in
-    /// nanojoules — the learned [`JobView::window_cycles_hint`] priced at
-    /// the calibrated array power ([`vwr2a_energy::EnergyModel::
-    /// array_window_nj`]; `0` before the key has ever run).  The array
-    /// counterpart of [`BackendView::window_energy_nj`].
+    /// nanojoules — [`JobView::window_cycles_hint`] priced at the
+    /// calibrated array power ([`vwr2a_energy::EnergyModel::
+    /// array_window_nj`]), so it follows the same cold-key rule: `0` in a
+    /// batch fan-out, the serving layer's cold estimate when served.  The
+    /// array counterpart of [`BackendView::window_energy_nj`].
     pub window_energy_hint_nj: u64,
     /// Absolute deadline cycle of the job on the caller's timeline, when
     /// one exists — the serving layer passes each ticket's deadline so
@@ -614,6 +620,14 @@ pub(crate) struct JobPricing {
     pub per_backend: Vec<BackendPrice>,
 }
 
+/// One wave's in-flight accounting: its fleet report and one stream
+/// schedule per backend (see [`Pool::open_wave`] / [`Pool::close_wave`]).
+#[derive(Debug)]
+pub(crate) struct Wave {
+    pub fleet: FleetReport,
+    pub schedules: Vec<StreamSchedule>,
+}
+
 /// A fleet of [`Backend`]s behind one [`Placement`] scheduler.
 ///
 /// Every fan-out call ([`Pool::run_batch`] / [`Pool::run_stream`]) is one
@@ -629,7 +643,7 @@ pub(crate) struct JobPricing {
 /// runnable example.
 #[derive(Debug)]
 pub struct Pool {
-    backends: Vec<Box<dyn Backend>>,
+    backends: Vec<Backend>,
     placement: Box<dyn Placement>,
     stats: FleetReport,
     /// Per-backend configuration-word footprints by [`Kernel::cache_key`]
@@ -638,10 +652,13 @@ pub struct Pool {
     /// geometry rather than once per job (the hook may build the whole
     /// program to count).
     footprints: Vec<HashMap<String, Option<usize>>>,
-    /// Observed per-window compute cycles by cache key on CGRA arrays:
-    /// `(total cycles, windows)` — the learned estimate [`CostAware`]
-    /// weighs against offload backends' modelled costs.
-    estimates: HashMap<String, (u64, u64)>,
+    /// Online per-program cost model: cumulative `(compute_cycles,
+    /// windows)` keyed by *backend kind and* cache key, learned from every
+    /// completed job of both batch fan-outs and serving runs.  The kind in
+    /// the key keeps the substrates' very different per-window costs from
+    /// polluting each other's means (a CGRA window and an FFT-engine
+    /// window of the same program differ by orders of magnitude).
+    estimates: HashMap<(BackendKind, String), (u64, u64)>,
 }
 
 impl Pool {
@@ -677,10 +694,7 @@ impl Pool {
     /// Panics if `sessions` is empty.
     pub fn with_sessions(sessions: Vec<Session>) -> Result<Self> {
         Ok(Self::with_backends(
-            sessions
-                .into_iter()
-                .map(|s| Box::new(ArrayBackend::new(s)) as Box<dyn Backend>)
-                .collect(),
+            sessions.into_iter().map(Backend::from).collect(),
         ))
     }
 
@@ -691,9 +705,9 @@ impl Pool {
     /// # Panics
     ///
     /// Panics if `backends` is empty.
-    pub fn with_backends(backends: Vec<Box<dyn Backend>>) -> Self {
+    pub fn with_backends(backends: Vec<Backend>) -> Self {
         assert!(!backends.is_empty(), "a pool needs at least one backend");
-        let kinds: Vec<BackendKind> = backends.iter().map(|b| b.kind()).collect();
+        let kinds: Vec<BackendKind> = backends.iter().map(Backend::kind).collect();
         let footprints = backends.iter().map(|_| HashMap::new()).collect();
         Self {
             backends,
@@ -707,15 +721,16 @@ impl Pool {
     /// Appends a backend to the fleet, builder-style — how the FFT engine
     /// and the host CPU join an array pool.
     #[must_use]
-    pub fn with_backend(mut self, backend: impl Backend + 'static) -> Self {
-        self.push_backend(Box::new(backend));
+    pub fn with_backend(mut self, backend: impl Into<Backend>) -> Self {
+        self.push_backend(backend);
         self
     }
 
     /// Appends a backend to the fleet.  Existing residency, accumulated
     /// statistics and the placement strategy are unaffected; the new
     /// backend starts idle.
-    pub fn push_backend(&mut self, backend: Box<dyn Backend>) {
+    pub fn push_backend(&mut self, backend: impl Into<Backend>) {
+        let backend = backend.into();
         let index = self.backends.len();
         self.stats.arrays.push(ArrayReport {
             array: index,
@@ -756,8 +771,8 @@ impl Pool {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn backend(&self, index: usize) -> &dyn Backend {
-        self.backends[index].as_ref()
+    pub fn backend(&self, index: usize) -> &Backend {
+        &self.backends[index]
     }
 
     /// The session behind one CGRA-array backend (residency inspection,
@@ -772,40 +787,22 @@ impl Pool {
             .expect("backend is a CGRA array")
     }
 
-    /// Mutable backend access for the serving layer's per-window executor
-    /// (which replays phases on its own schedules, like [`Pool::fan_out`]).
-    pub(crate) fn backend_mut(&mut self, index: usize) -> &mut dyn Backend {
-        self.backends[index].as_mut()
-    }
-
     /// The active placement strategy — the serving layer re-consults it on
     /// dispatch and on every work-stealing re-route.
     pub(crate) fn strategy(&self) -> &dyn Placement {
         &*self.placement
     }
 
-    /// Announces `keys` as needed-soon on every CGRA-array session of the
-    /// fleet (see [`Session::set_needed_soon`]); an empty set clears the
-    /// announcement.  Offload backends have no configuration memory and
-    /// ignore it.  The serving layer's lookahead planner derives the set
-    /// from its admission and run queues each scheduling round.
-    pub(crate) fn set_needed_soon(&mut self, keys: &std::collections::HashSet<String>) {
-        for backend in &mut self.backends {
-            if let Some(session) = backend.as_session_mut() {
-                session.set_needed_soon(keys.iter().cloned());
-            }
-        }
-    }
-
     /// Announces the needed-soon set on a single backend (no-op for
-    /// backends without a session) — the serving planner announces each
-    /// backend's own run queue, not a fleet-wide union.
+    /// backends without a session; an empty set clears the announcement)
+    /// — the serving planner announces each backend's own run queue, not
+    /// a fleet-wide union.
     pub(crate) fn set_needed_soon_on(
         &mut self,
         index: usize,
         keys: impl IntoIterator<Item = String>,
     ) {
-        if let Some(session) = self.backends[index].as_session_mut() {
+        if let Backend::Array(session) = &mut self.backends[index] {
             session.set_needed_soon(keys);
         }
     }
@@ -815,22 +812,35 @@ impl Pool {
     pub(crate) fn evictions_averted(&self) -> u64 {
         self.backends
             .iter()
-            .filter_map(|b| b.as_session())
+            .filter_map(Backend::as_session)
             .map(Session::evictions_averted)
             .sum()
     }
 
-    /// An empty wave report shaped like this fleet (one entry per backend,
-    /// labelled by kind).
-    pub(crate) fn blank_wave(&self) -> FleetReport {
-        let kinds: Vec<BackendKind> = self.backends.iter().map(|b| b.kind()).collect();
-        FleetReport::for_kinds(&kinds)
+    /// Opens a wave: an empty report shaped like this fleet (one entry per
+    /// backend, labelled by kind) and a fresh schedule per backend.
+    pub(crate) fn open_wave(&self) -> Wave {
+        let kinds: Vec<BackendKind> = self.backends.iter().map(Backend::kind).collect();
+        Wave {
+            fleet: FleetReport::for_kinds(&kinds),
+            schedules: self
+                .backends
+                .iter()
+                .map(|_| StreamSchedule::new())
+                .collect(),
+        }
     }
 
-    /// Folds one externally-built wave (the serving layer's) into the
-    /// pool's accumulated [`Pool::stats`].
-    pub(crate) fn absorb_stats(&mut self, wave: &FleetReport) {
-        self.stats.absorb(wave);
+    /// Closes a wave: stamps each backend's wall clock and occupancy from
+    /// its schedule and folds the wave into [`Pool::stats`] — also for an
+    /// aborted wave, because the backends did the work and the fleet
+    /// statistics must show it.
+    pub(crate) fn close_wave(&mut self, mut wave: Wave) -> FleetReport {
+        for (backend, schedule) in wave.fleet.arrays.iter_mut().zip(wave.schedules) {
+            schedule.finish_into(&mut backend.report);
+        }
+        self.stats.absorb(&wave.fleet);
+        wave.fleet
     }
 
     /// Accumulated fleet accounting over every wave run so far (per-backend
@@ -896,21 +906,10 @@ impl Pool {
         W::Item: Borrow<K::Input>,
         F: FnMut(usize, K::Output) -> Result<()>,
     {
-        let backends = self.backends.len();
-        let mut schedules: Vec<StreamSchedule> =
-            (0..backends).map(|_| StreamSchedule::new()).collect();
-        let mut wave = self.blank_wave();
-
-        let result = self.fan_out(jobs, sink, &mut wave, &mut schedules);
-        for (backend, schedule) in wave.arrays.iter_mut().zip(schedules) {
-            let timeline = schedule.finish();
-            backend.report.wall_cycles = timeline.wall_cycles();
-            backend.report.busy = timeline.occupancy();
-        }
-        // The wave's accounting survives an abort: the backends did the
-        // work, so the fleet statistics must show it.
-        self.stats.absorb(&wave);
-        result.map(|()| wave)
+        let mut wave = self.open_wave();
+        let result = self.fan_out(jobs, sink, &mut wave);
+        let fleet = self.close_wave(wave);
+        result.map(|()| fleet)
     }
 
     /// Configuration-word footprint of `kernel`'s program against backend
@@ -927,23 +926,90 @@ impl Pool {
         words
     }
 
-    /// The pool's learned per-window compute estimate for `key` on a CGRA
-    /// array (mean observed compute cycles; `0` before the key has run).
-    fn window_hint(&self, key: &str) -> u64 {
+    /// The learned per-window mean for `key` on backends of `kind`
+    /// (`None` before any job of that key has completed on that kind).
+    pub(crate) fn learned_mean(&self, kind: BackendKind, key: &str) -> Option<u64> {
         self.estimates
-            .get(key)
-            .map(|&(cycles, windows)| (cycles / windows.max(1)).max(1))
+            .get(&(kind, key.to_string()))
+            .and_then(|&(cycles, windows)| cycles.checked_div(windows))
+            .map(|mean| mean.max(1))
+    }
+
+    /// The learned per-window mean over *every* program seen on backends
+    /// of `kind` — the same-substrate cold-start fallback.
+    pub(crate) fn kind_mean(&self, kind: BackendKind) -> Option<u64> {
+        let (cycles, windows) = self
+            .estimates
+            .iter()
+            .filter(|((k, _), _)| *k == kind)
+            .fold((0u64, 0u64), |acc, (_, &(c, w))| (acc.0 + c, acc.1 + w));
+        cycles.checked_div(windows).map(|mean| mean.max(1))
+    }
+
+    /// Records one completed job's observed compute cycles over `windows`
+    /// windows of `key` on a backend of `kind`.
+    pub(crate) fn learn(&mut self, kind: BackendKind, key: &str, cycles: u64, windows: u64) {
+        let entry = self
+            .estimates
+            .entry((kind, key.to_string()))
+            .or_insert((0, 0));
+        entry.0 += cycles;
+        entry.1 += windows;
+    }
+
+    /// Lower bound on an array's per-window cycles for a job priced as
+    /// `pricing`: the best modelled window of a *fixed-function* offload
+    /// backend the job is priced on.  Dedicated silicon is never slower
+    /// than the reconfigurable array at its own kernel (Sec. 2: ~3 k
+    /// engine cycles vs 5–7 k array cycles for the 256-pt FFT), so a cold
+    /// array estimate below the accelerator's modelled window is certainly
+    /// wrong.  The CPU's modelled window is *not* a bound — beating the
+    /// CPU is the array's whole point.
+    fn accel_floor(&self, pricing: &JobPricing) -> u64 {
+        pricing
+            .per_backend
+            .iter()
+            .zip(&self.backends)
+            .filter(|(_, backend)| backend.kind() == BackendKind::FftAccel)
+            .filter_map(|(price, _)| price.window_cycles)
+            .min()
             .unwrap_or(0)
     }
 
-    /// The learned hint's energy companion: the mean observed array window,
-    /// priced at the array's average power (`0` before the key has run, like
-    /// [`Pool::window_hint`]).
-    fn window_energy_hint(&self, key: &str) -> u64 {
-        match self.window_hint(key) {
-            0 => 0,
-            cycles => EnergyModel::calibrated().array_window_nj(cycles),
+    /// The serving layer's estimate of one array window of a key that has
+    /// not yet run on an array: the array-wide learned mean, else the
+    /// program's reload footprint as a proxy — either floored by
+    /// [`Pool::accel_floor`], so a crumb-dominated array mean cannot
+    /// underprice an accelerator-class kernel on the array.
+    pub(crate) fn cold_array_estimate(&self, pricing: &JobPricing) -> u64 {
+        self.kind_mean(BackendKind::Array)
+            .unwrap_or((pricing.config_words as u64).max(1))
+            .max(self.accel_floor(pricing))
+    }
+
+    /// Estimated compute cycles of one window of `key` (priced as
+    /// `pricing`) *on backend `backend`*: the backend's own modelled
+    /// per-window cost first (offload backends — the same model placement
+    /// ranked the backend by, so projections stay consistent with the
+    /// dispatch decision), else the key's learned mean on that backend's
+    /// kind, else [`Pool::cold_array_estimate`] on arrays and the
+    /// kind-wide learned mean elsewhere.  Consulting the model first keeps
+    /// a cold FFT-heavy run queue from projecting a near-zero horizon: an
+    /// engine-capable key has no configuration footprint to proxy with.
+    pub(crate) fn per_window_estimate_on(
+        &self,
+        key: &str,
+        pricing: &JobPricing,
+        backend: usize,
+    ) -> u64 {
+        if let Some(modelled) = pricing.per_backend[backend].window_cycles {
+            return modelled.max(1);
         }
+        let kind = self.backends[backend].kind();
+        self.learned_mean(kind, key).unwrap_or_else(|| match kind {
+            BackendKind::Array => self.cold_array_estimate(pricing),
+            _ => self.kind_mean(kind).unwrap_or(1),
+        })
     }
 
     /// Prices `kernel` against every backend of the fleet (see
@@ -1010,6 +1076,76 @@ impl Pool {
         })
     }
 
+    /// Backend `index`'s [`BackendView`] of the job `key` (priced as
+    /// `pricing`), over the compute and configuration-load free times the
+    /// caller projects: the wave schedule's own for batch fan-outs, the
+    /// queue-aware projection for the serving layer.
+    pub(crate) fn backend_view(
+        &self,
+        index: usize,
+        key: &str,
+        pricing: &JobPricing,
+        free_compute_at: u64,
+        free_config_at: u64,
+    ) -> BackendView {
+        let backend = &self.backends[index];
+        let price = &pricing.per_backend[index];
+        BackendView {
+            index,
+            kind: backend.kind(),
+            capabilities: backend.capabilities(),
+            resident: backend.is_resident(key),
+            warm: backend.is_warm(key),
+            free_compute_at,
+            free_config_at,
+            busy_compute: backend.busy_compute(),
+            loaded_programs: backend.loaded_programs(),
+            reload_cycles: price.reload_cycles,
+            window_cycles: price.window_cycles,
+            reload_energy_nj: price.reload_energy_nj,
+            window_energy_nj: price.window_energy_nj,
+        }
+    }
+
+    /// The [`JobView`] of job `index` over `windows` windows of `key`.
+    /// The array hints are the key's learned array mean, else the caller's
+    /// `cold_hint` (see [`JobView::window_cycles_hint`]), priced at the
+    /// array's average power.
+    pub(crate) fn job_view<'a>(
+        &self,
+        index: usize,
+        key: &'a str,
+        windows: usize,
+        pricing: &JobPricing,
+        cold_hint: u64,
+        deadline: Option<u64>,
+    ) -> JobView<'a> {
+        let hint = self
+            .learned_mean(BackendKind::Array, key)
+            .unwrap_or(cold_hint);
+        JobView {
+            index,
+            cache_key: key,
+            windows,
+            config_words: pricing.config_words,
+            classes: pricing.classes,
+            window_cycles_hint: hint,
+            window_energy_hint_nj: EnergyModel::calibrated().array_window_nj(hint),
+            deadline,
+        }
+    }
+
+    /// Checks that a plan's target and prefetch backends exist, as
+    /// [`RuntimeError::Placement`] otherwise.
+    pub(crate) fn check_plan(&self, plan: &PlacementPlan) -> Result<()> {
+        let arrays = self.backends.len();
+        let mut targets = std::iter::once(plan.backend).chain(plan.prefetch.map(|p| p.backend));
+        match targets.find(|&index| index >= arrays) {
+            Some(index) => Err(RuntimeError::Placement { index, arrays }),
+            None => Ok(()),
+        }
+    }
+
     /// The typed error for routing a job to backend `index`, which cannot
     /// serve it.
     fn unservable(&self, index: usize, kernel: &str) -> RuntimeError {
@@ -1033,25 +1169,29 @@ impl Pool {
     /// — or directed at an offload backend, which has no configuration
     /// memory — is skipped, not fatal.  The job's own launch then pays the
     /// reload, and a genuine error resurfaces there, on the authoritative
-    /// path.
+    /// path.  Evictions count whatever the outcome: a stage may evict a
+    /// resident and only then give up.
     pub(crate) fn stage_prefetch<K: Kernel>(
         &mut self,
         target: usize,
         kernel: &K,
         not_before: u64,
-        schedules: &mut [StreamSchedule],
-        wave: &mut FleetReport,
+        wave: &mut Wave,
     ) {
         // The backlog *before* the prefetch decides whether the reload is
         // fully hidden (the ConfigLoad lane leaves the compute lane
         // untouched either way).
-        let backlog = schedules[target].free_at(Engine::Compute);
-        let Some(session) = self.backends[target].as_session_mut() else {
+        let schedule = &mut wave.schedules[target];
+        let backlog = schedule.free_at(Engine::Compute);
+        let Backend::Array(session) = &mut self.backends[target] else {
             return;
         };
-        if let Ok(Some(staged)) = session.prefetch(kernel) {
-            let span = schedules[target].prefetch_at(staged.config_cycles, not_before);
-            let report = &mut wave.arrays[target].report;
+        let evictions_before = session.evictions();
+        let staged = session.prefetch(kernel);
+        let report = &mut wave.fleet.arrays[target].report;
+        report.evictions += session.evictions() - evictions_before;
+        if let Ok(Some(staged)) = staged {
+            let span = schedule.prefetch_at(staged.config_cycles, not_before);
             report.prefetched += 1;
             if span.end <= backlog {
                 report.hidden_reloads += 1;
@@ -1062,7 +1202,6 @@ impl Pool {
             // the backend (and to the prefetch sub-total) but to no job:
             // per-job routes account execution only.
             report.cycles += staged.config_cycles;
-            report.evictions += staged.evictions;
             let staged_nj = EnergyModel::calibrated().price_array(&staged.counters);
             report.energy_nj += staged_nj;
             report.prefetch_energy_nj += staged_nj;
@@ -1070,16 +1209,66 @@ impl Pool {
         }
     }
 
-    /// The job loop of [`Pool::run_stream`]: prices, plans, prefetches and
-    /// runs every job, recording into `wave`/`schedules` as it goes so the
-    /// caller can salvage the accounting of an aborted fan-out.
-    fn fan_out<'k, K, J, W, F>(
+    /// Runs placed job `job` (`kernel` under cache key `key`) on backend
+    /// `backend`, staging no earlier than `not_before`: pushes its
+    /// [`JobRoute`], attributes each window's joules to it as they land (so
+    /// an aborted wave's routes still price the work done), replays the
+    /// phases on the backend's schedule, feeds `sink`, and learns the
+    /// completed job's per-window cost.  Returns the cycle its first window
+    /// started computing and the cycle its last completion interrupt was
+    /// serviced (both `not_before` for a job without windows).
+    pub(crate) fn run_job<K, W, F>(
         &mut self,
-        jobs: J,
-        mut sink: F,
-        wave: &mut FleetReport,
-        schedules: &mut [StreamSchedule],
-    ) -> Result<()>
+        backend: usize,
+        (job, kernel, key): (usize, &K, &str),
+        windows: W,
+        not_before: u64,
+        wave: &mut Wave,
+        sink: &mut F,
+    ) -> Result<(u64, u64)>
+    where
+        K: Kernel,
+        W: IntoIterator,
+        W::Item: Borrow<K::Input>,
+        F: FnMut(usize, K::Output) -> Result<()>,
+    {
+        let kind = self.backends[backend].kind();
+        wave.fleet.routes.push(JobRoute {
+            job,
+            backend,
+            kind,
+            energy_nj: 0,
+        });
+        let mut first_compute = None;
+        let mut completed = not_before;
+        let (mut compute_cycles, mut count) = (0u64, 0u64);
+        for window in windows {
+            let (output, phases, window_nj) = self.backends[backend].run_window(
+                kernel,
+                key,
+                window.borrow(),
+                &mut wave.fleet.arrays[backend].report,
+            )?;
+            wave.fleet
+                .routes
+                .last_mut()
+                .expect("route pushed above")
+                .energy_nj += window_nj;
+            let spans = wave.schedules[backend].push_at(phases, not_before);
+            first_compute.get_or_insert(spans.compute.start);
+            completed = spans.irq.end;
+            compute_cycles += phases.compute;
+            count += 1;
+            sink(job, output)?;
+        }
+        self.learn(kind, key, compute_cycles, count);
+        Ok((first_compute.unwrap_or(completed), completed))
+    }
+
+    /// The job loop of [`Pool::run_stream`]: prices, plans, prefetches and
+    /// runs every job, recording into `wave` as it goes so the caller can
+    /// salvage the accounting of an aborted fan-out.
+    fn fan_out<'k, K, J, W, F>(&mut self, jobs: J, mut sink: F, wave: &mut Wave) -> Result<()>
     where
         K: Kernel + 'k,
         J: IntoIterator<Item = (&'k K, W)>,
@@ -1087,11 +1276,6 @@ impl Pool {
         W::Item: Borrow<K::Input>,
         F: FnMut(usize, K::Output) -> Result<()>,
     {
-        let backends = self.backends.len();
-        let out_of_range = |index: usize| RuntimeError::Placement {
-            index,
-            arrays: backends,
-        };
         for (index, (kernel, windows)) in jobs.into_iter().enumerate() {
             let key = kernel.cache_key();
             let pricing = self.price_job(kernel, &key)?;
@@ -1099,88 +1283,33 @@ impl Pool {
             // count, like `Session::run_stream`); placement sees the
             // iterator's size hint.
             let windows = windows.into_iter();
-            let windows_hint = windows.size_hint().0;
-            let hint = self.window_hint(&key);
-            let energy_hint = self.window_energy_hint(&key);
-            let views: Vec<BackendView> = self
-                .backends
-                .iter()
-                .enumerate()
-                .map(|(i, backend)| BackendView {
-                    index: i,
-                    kind: backend.kind(),
-                    capabilities: backend.capabilities(),
-                    resident: backend.is_resident(&key),
-                    warm: backend.is_warm(&key),
-                    free_compute_at: schedules[i].free_at(Engine::Compute),
-                    free_config_at: schedules[i].free_at(Engine::ConfigLoad),
-                    busy_compute: backend.busy_compute(),
-                    loaded_programs: backend.loaded_programs(),
-                    reload_cycles: pricing.per_backend[i].reload_cycles,
-                    window_cycles: pricing.per_backend[i].window_cycles,
-                    reload_energy_nj: pricing.per_backend[i].reload_energy_nj,
-                    window_energy_nj: pricing.per_backend[i].window_energy_nj,
+            let views: Vec<BackendView> = (0..self.backends.len())
+                .map(|i| {
+                    let schedule = &wave.schedules[i];
+                    self.backend_view(
+                        i,
+                        &key,
+                        &pricing,
+                        schedule.free_at(Engine::Compute),
+                        schedule.free_at(Engine::ConfigLoad),
+                    )
                 })
                 .collect();
-            let job = JobView {
-                index,
-                cache_key: &key,
-                windows: windows_hint,
-                config_words: pricing.config_words,
-                classes: pricing.classes,
-                window_cycles_hint: hint,
-                window_energy_hint_nj: energy_hint,
-                deadline: None,
-            };
+            // A key that has never run on an array hints 0 here: the batch
+            // path prices such a job's array windows as free.
+            let job = self.job_view(index, &key, windows.size_hint().0, &pricing, 0, None);
             let plan = self.placement.place(&job, &views);
+            self.check_plan(&plan)?;
             let chosen = plan.backend;
-            if chosen >= backends {
-                return Err(out_of_range(chosen));
-            }
-            if views[chosen].reload_cycles.is_none() {
+            if !pricing.per_backend[chosen].eligible() {
                 return Err(self.unservable(chosen, kernel.name()));
             }
             if let Some(directive) = plan.prefetch {
-                let target = directive.backend;
-                if target >= backends {
-                    return Err(out_of_range(target));
-                }
-                self.stage_prefetch(target, kernel, 0, schedules, wave);
+                self.stage_prefetch(directive.backend, kernel, 0, wave);
             }
-            wave.jobs += 1;
-            wave.arrays[chosen].jobs += 1;
-            let kind = self.backends[chosen].kind();
-            wave.routes.push(JobRoute {
-                job: index,
-                backend: chosen,
-                kind,
-                energy_nj: 0,
-            });
-            for window in windows {
-                let (output, phases, window_nj) = run_window_on(
-                    self.backends[chosen].as_mut(),
-                    kernel,
-                    &key,
-                    window.borrow(),
-                    &mut wave.arrays[chosen].report,
-                )?;
-                // Attribute the window's measured joules to the job as
-                // they land, so even an aborted fan-out's routes price the
-                // work actually done.
-                wave.routes
-                    .last_mut()
-                    .expect("route pushed above")
-                    .energy_nj += window_nj;
-                schedules[chosen].push(phases);
-                if kind == BackendKind::Array {
-                    // Learn the kernel's observed array cost, so later
-                    // placements can weigh arrays against offload models.
-                    let entry = self.estimates.entry(key.clone()).or_insert((0, 0));
-                    entry.0 += phases.compute;
-                    entry.1 += 1;
-                }
-                sink(index, output)?;
-            }
+            wave.fleet.jobs += 1;
+            wave.fleet.arrays[chosen].jobs += 1;
+            self.run_job(chosen, (index, kernel, &key), windows, 0, wave, &mut sink)?;
         }
         Ok(())
     }
@@ -1739,6 +1868,62 @@ mod tests {
         roomy
             .run_batch([(&kernels[0], ws.iter().map(Vec::as_slice))])
             .unwrap();
+    }
+
+    #[test]
+    fn evictions_of_a_prefetch_that_gives_up_are_reported() {
+        // A speculative stage may evict an unshielded resident and only
+        // then find that the rest of the room is held by a staged-but-
+        // unlaunched program, which it refuses to sacrifice.  The stage is
+        // skipped, but the eviction happened: the fleet report must count
+        // it like any other.
+        #[derive(Debug)]
+        struct Fixed(PlacementPlan);
+        impl Placement for Fixed {
+            fn name(&self) -> &'static str {
+                "fixed"
+            }
+            fn place(&self, _job: &JobView<'_>, _backends: &[BackendView]) -> PlacementPlan {
+                self.0
+            }
+        }
+        let stage_on_1 = PlacementPlan {
+            backend: 0,
+            prefetch: Some(PrefetchDirective { backend: 1 }),
+        };
+        let capacity = PaddedKernel::words();
+        assert!(capacity >= 2 * baked_words(), "two scale programs fit");
+        let mut pool = Pool::with_sessions(constrained_sessions(2, capacity)).unwrap();
+        let ws = windows(1, 0);
+        // Array 1 ends up holding a staged (unlaunched) program and a
+        // launched one.
+        let staged = BakedScaleKernel::new(2);
+        let launched = BakedScaleKernel::new(3);
+        pool.set_placement(Fixed(stage_on_1));
+        pool.run_batch([(&staged, ws.iter().map(Vec::as_slice))])
+            .unwrap();
+        pool.set_placement(Pin(1));
+        pool.run_batch([(&launched, ws.iter().map(Vec::as_slice))])
+            .unwrap();
+        assert!(pool.array(1).is_resident(&staged) && pool.array(1).is_resident(&launched));
+
+        // A program filling the whole memory, staged on array 1: it evicts
+        // the launched program, then gives up rather than evict the staged
+        // one.
+        let wide = PaddedKernel::new("wide");
+        let before: Vec<u64> = (0..2).map(|i| pool.array(i).evictions()).collect();
+        pool.set_placement(Fixed(stage_on_1));
+        let (_, fleet) = pool.run_batch([(&wide, [()])]).unwrap();
+        let deltas: Vec<u64> = (0..2)
+            .map(|i| pool.array(i).evictions() - before[i])
+            .collect();
+        assert_eq!(deltas[1], 1, "the abandoned stage evicted one resident");
+        assert!(!pool.array(1).is_resident(&launched));
+        assert!(pool.array(1).is_resident(&staged));
+        assert_eq!(fleet.prefetched(), 0, "the stage itself was skipped");
+        assert_eq!(fleet.evictions(), deltas.iter().sum::<u64>());
+        let total: u64 = (0..2).map(|i| pool.array(i).evictions()).sum();
+        assert_eq!(pool.stats().evictions(), total);
     }
 
     #[test]

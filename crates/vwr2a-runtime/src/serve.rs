@@ -26,10 +26,11 @@
 //!    backlogs (schedule horizon plus the estimated cost of jobs already
 //!    queued there) and the per-backend reload/window pricing computed
 //!    once at admission ([`Pool::price_job`](crate::pool::Pool)) — and
-//!    any [`PlacementPlan`] prefetch directive stages the job's reload
-//!    speculatively from the dispatch cycle on.  A job is only ever
-//!    committed to a backend that can actually serve it; when every such
-//!    backend is depth-full the job waits in the queue.
+//!    any [`PlacementPlan`](crate::pool::PlacementPlan) prefetch directive
+//!    stages the job's reload speculatively from the dispatch cycle on.
+//!    A job is only ever committed to a backend that can actually serve
+//!    it; when every such backend is depth-full the job waits in the
+//!    queue.
 //! 3. **Stealing** — placement decisions go stale: backlog estimates are
 //!    learned online, so a backend can drift ahead of the fleet with jobs
 //!    still queued behind it.  The stealing pass re-routes queued (not
@@ -91,13 +92,12 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use vwr2a_core::timeline::Engine;
-use vwr2a_energy::EnergyModel;
 
-use crate::backend::{run_window_on, BackendKind};
+use crate::backend::BackendKind;
 use crate::error::{Result, RuntimeError};
 use crate::pipeline::StreamSchedule;
-use crate::pool::{BackendPrice, BackendView, JobView, PlacementPlan, Pool};
-use crate::report::{FleetReport, JobLatency, JobRoute, PlannerStats, ServeReport};
+use crate::pool::{BackendView, JobPricing, JobView, Pool, Wave};
+use crate::report::{JobLatency, PlannerStats, ServeReport};
 use crate::session::Kernel;
 
 /// Identifies the tenant a [`ServeJob`] belongs to.  Tenants are the unit
@@ -373,14 +373,10 @@ struct Ticket<'k, K, I> {
     kernel: &'k K,
     windows: I,
     key: String,
-    config_words: usize,
-    /// Capability classes of the job
-    /// ([`crate::backend::Offload::classes`]).
-    classes: u32,
     /// Per-backend cycles-and-joules pricing, computed once at admission.
     /// A `None` reload marks a backend that cannot serve this job;
     /// dispatch and stealing never commit the job there.
-    prices: Vec<BackendPrice>,
+    pricing: JobPricing,
     windows_hint: usize,
     tenant: TenantId,
     arrival: u64,
@@ -391,7 +387,7 @@ struct Ticket<'k, K, I> {
 impl<K, I> Ticket<'_, K, I> {
     /// `true` if backend `index` can serve this job at all.
     fn eligible(&self, index: usize) -> bool {
-        self.prices[index].eligible()
+        self.pricing.per_backend[index].eligible()
     }
 }
 
@@ -424,14 +420,6 @@ pub struct Server {
     /// Whether the whole-queue lookahead planner is active (see
     /// [`Server::with_lookahead`]).
     lookahead: bool,
-    /// Online per-program cost model: cumulative `(compute_cycles,
-    /// windows)` keyed by *backend kind and* cache key, learned from
-    /// every completed job.  The kind in the key keeps the substrates'
-    /// very different per-window costs from polluting each other's means
-    /// (a CGRA window and an FFT-engine window of the same program differ
-    /// by orders of magnitude).  Backs the projected backlogs that
-    /// placement and stealing reason over.
-    estimates: HashMap<(BackendKind, String), (u64, u64)>,
 }
 
 impl Server {
@@ -443,7 +431,6 @@ impl Server {
             stealing: true,
             depth: DISPATCH_DEPTH,
             lookahead: false,
-            estimates: HashMap::new(),
         }
     }
 
@@ -611,9 +598,7 @@ impl Server {
                 kernel: job.kernel,
                 windows,
                 key,
-                config_words: pricing.config_words,
-                classes: pricing.classes,
-                prices: pricing.per_backend,
+                pricing,
                 windows_hint,
                 tenant: job.tenant,
                 arrival: job.arrival_cycle,
@@ -627,9 +612,7 @@ impl Server {
             .make_contiguous()
             .sort_by_key(|t| (t.arrival, t.seq));
 
-        let mut schedules: Vec<StreamSchedule> =
-            (0..backends).map(|_| StreamSchedule::new()).collect();
-        let mut wave = self.pool.blank_wave();
+        let mut wave = self.pool.open_wave();
         let mut latencies: Vec<JobLatency> = Vec::new();
         let mut steals = 0u64;
         let mut plan = PlannerStats::default();
@@ -639,7 +622,6 @@ impl Server {
             pending,
             sink,
             &mut wave,
-            &mut schedules,
             &mut latencies,
             &mut steals,
             &mut plan,
@@ -648,111 +630,30 @@ impl Server {
             // The queue is drained (or the run aborted): clear the
             // needed-soon announcement so later pool waves see an
             // unshielded fleet, and account what the shield redirected.
-            self.pool.set_needed_soon(&HashSet::new());
+            for i in 0..backends {
+                self.pool.set_needed_soon_on(i, std::iter::empty());
+            }
             plan.evictions_averted = self.pool.evictions_averted() - averted_before;
         }
-        for (array, schedule) in wave.arrays.iter_mut().zip(schedules) {
-            let timeline = schedule.finish();
-            array.report.wall_cycles = timeline.wall_cycles();
-            array.report.busy = timeline.occupancy();
-        }
-        // The run's accounting survives an abort: the sessions did the
-        // work, so the fleet statistics must show it.
-        self.pool.absorb_stats(&wave);
+        let fleet = self.pool.close_wave(wave);
         latencies.sort_unstable_by_key(|l| l.job);
         result.map(|()| ServeReport {
-            fleet: wave,
+            fleet,
             latencies,
             steals,
             plan,
         })
     }
 
-    /// The learned per-window mean for `key` on backends of `kind`
-    /// (`None` before any job of that key has completed on that kind).
-    fn learned_mean(&self, kind: BackendKind, key: &str) -> Option<u64> {
-        self.estimates
-            .get(&(kind, key.to_string()))
-            .and_then(|&(cycles, windows)| cycles.checked_div(windows))
-            .map(|mean| mean.max(1))
-    }
-
-    /// The learned per-window mean over *every* program seen on backends
-    /// of `kind` — the same-substrate cold-start fallback.
-    fn kind_mean(&self, kind: BackendKind) -> Option<u64> {
-        let (cycles, windows) = self
-            .estimates
-            .iter()
-            .filter(|((k, _), _)| *k == kind)
-            .fold((0u64, 0u64), |acc, (_, &(c, w))| (acc.0 + c, acc.1 + w));
-        cycles.checked_div(windows).map(|mean| mean.max(1))
-    }
-
-    /// Lower bound on an array's per-window cycles for `ticket`'s
-    /// program: the best modelled window of a *fixed-function* offload
-    /// backend the job is priced on.  Dedicated silicon is never slower
-    /// than the reconfigurable array at its own kernel (Sec. 2: ~3 k
-    /// engine cycles vs 5–7 k array cycles for the 256-pt FFT), so a cold
-    /// array estimate below the accelerator's modelled window is certainly
-    /// wrong.  The CPU's modelled window is *not* a bound — beating the
-    /// CPU is the array's whole point.
-    fn accel_floor<K: Kernel, I>(&self, ticket: &Ticket<'_, K, I>) -> u64 {
-        ticket
-            .prices
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.pool.backend(i).kind() == BackendKind::FftAccel)
-            .filter_map(|(_, price)| price.window_cycles)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Estimated compute cycles of one window of `ticket`'s program *on
-    /// backend `backend`*: the backend's own modelled per-window cost
-    /// first (offload backends priced at admission — the same model
-    /// placement ranked the backend by, so projections stay consistent
-    /// with the dispatch decision), else the key's learned mean on that
-    /// backend's kind, else the kind-wide learned mean, else — for
-    /// arrays only — the program's reload footprint as a cold-start
-    /// proxy.  Consulting the model first is what keeps a cold FFT-heavy
-    /// run queue from projecting a near-zero horizon: the engine's
-    /// modelled cycles price its queue even before any job has
-    /// completed, where the old footprint proxy priced an engine-capable
-    /// key (zero config footprint) at 1 cycle per window.  The cold
-    /// array fallbacks (kind mean, footprint) are additionally floored
-    /// by [`Self::accel_floor`] so a crumb-dominated array mean cannot
-    /// underprice an accelerator-class kernel on the array.
-    fn per_window_estimate_on<K: Kernel, I>(
-        &self,
-        ticket: &Ticket<'_, K, I>,
-        backend: usize,
-    ) -> u64 {
-        if let Some(modelled) = ticket.prices[backend].window_cycles {
-            return modelled.max(1);
-        }
-        let kind = self.pool.backend(backend).kind();
-        if let Some(mean) = self.learned_mean(kind, &ticket.key) {
-            return mean;
-        }
-        let floor = match kind {
-            BackendKind::Array => self.accel_floor(ticket),
-            _ => 0,
-        };
-        if let Some(mean) = self.kind_mean(kind) {
-            return mean.max(floor);
-        }
-        match kind {
-            BackendKind::Array => (ticket.config_words as u64).max(1).max(floor),
-            _ => 1,
-        }
-    }
-
-    /// Estimated compute cost of a queued job on the backend it is queued
-    /// on (its window hint times the per-window estimate; an opaque
+    /// Estimated compute cost of a queued job on backend `backend` (its
+    /// window hint times the pool's per-window estimate; an opaque
     /// hint-less stream estimates free — the estimator corrects itself
     /// once the job has actually run).
     fn est_cost<K: Kernel, I>(&self, ticket: &Ticket<'_, K, I>, backend: usize) -> u64 {
-        ticket.windows_hint as u64 * self.per_window_estimate_on(ticket, backend)
+        ticket.windows_hint as u64
+            * self
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, backend)
     }
 
     /// Projected compute horizon of one backend: its schedule's compute
@@ -773,9 +674,7 @@ impl Server {
     }
 
     /// One backend's [`BackendView`] over the *projected* backlogs — what
-    /// placement sees at dispatch and steal time.  Reload and per-window
-    /// pricing come from the ticket's admission-time pricing, so the view
-    /// carries the same eligibility mask batch fan-outs see.
+    /// placement sees at dispatch and steal time.
     fn backend_view<K: Kernel, I>(
         &self,
         backend: usize,
@@ -784,60 +683,40 @@ impl Server {
         schedules: &[StreamSchedule],
         assigned: &[VecDeque<(Ticket<'_, K, I>, u64)>],
     ) -> BackendView {
-        let b = self.pool.backend(backend);
-        BackendView {
-            index: backend,
-            kind: b.kind(),
-            capabilities: b.capabilities(),
-            resident: b.is_resident(&ticket.key),
-            warm: b.is_warm(&ticket.key),
-            free_compute_at: self.projection(backend, now, schedules, assigned),
-            free_config_at: schedules[backend].free_at(Engine::ConfigLoad).max(now),
-            busy_compute: b.busy_compute(),
-            loaded_programs: b.loaded_programs(),
-            reload_cycles: ticket.prices[backend].reload_cycles,
-            window_cycles: ticket.prices[backend].window_cycles,
-            reload_energy_nj: ticket.prices[backend].reload_energy_nj,
-            window_energy_nj: ticket.prices[backend].window_energy_nj,
-        }
+        self.pool.backend_view(
+            backend,
+            &ticket.key,
+            &ticket.pricing,
+            self.projection(backend, now, schedules, assigned),
+            schedules[backend].free_at(Engine::ConfigLoad).max(now),
+        )
     }
 
-    /// The [`JobView`] a ticket presents to the placement strategy.  The
-    /// hints fill the array columns a [`BackendView`] leaves open: the
-    /// key's learned array mean (else the array-wide mean, else the
-    /// footprint proxy) and that mean priced at the array's average
-    /// power.
+    /// The [`JobView`] a ticket presents to the placement strategy.  A key
+    /// that has not yet run on an array hints the pool's cold array
+    /// estimate — the array-wide mean, else the footprint proxy, floored
+    /// by the FFT engine's modelled window — so even the first jobs of a
+    /// run project real array horizons.
     fn job_view<'t, K: Kernel, I>(&self, ticket: &'t Ticket<'_, K, I>) -> JobView<'t> {
-        let hint = self
-            .learned_mean(BackendKind::Array, &ticket.key)
-            .unwrap_or_else(|| {
-                self.kind_mean(BackendKind::Array)
-                    .unwrap_or_else(|| (ticket.config_words as u64).max(1))
-                    .max(self.accel_floor(ticket))
-            });
-        JobView {
-            index: ticket.seq,
-            cache_key: &ticket.key,
-            windows: ticket.windows_hint,
-            config_words: ticket.config_words,
-            classes: ticket.classes,
-            window_cycles_hint: hint,
-            window_energy_hint_nj: EnergyModel::calibrated().array_window_nj(hint),
-            deadline: ticket.deadline,
-        }
+        self.pool.job_view(
+            ticket.seq,
+            &ticket.key,
+            ticket.windows_hint,
+            &ticket.pricing,
+            self.pool.cold_array_estimate(&ticket.pricing),
+            ticket.deadline,
+        )
     }
 
     /// The event loop of [`Server::run_stream`]: admits, dispatches,
     /// steals and executes until the stream drains, recording into
-    /// `wave`/`schedules`/`latencies` as it goes so the caller can
-    /// salvage the accounting of an aborted run.
-    #[allow(clippy::too_many_arguments)]
+    /// `wave`/`latencies` as it goes so the caller can salvage the
+    /// accounting of an aborted run.
     fn serve_loop<'k, K, I, F>(
         &mut self,
         mut pending: VecDeque<Ticket<'k, K, I>>,
         mut sink: F,
-        wave: &mut FleetReport,
-        schedules: &mut [StreamSchedule],
+        wave: &mut Wave,
         latencies: &mut Vec<JobLatency>,
         steals: &mut u64,
         planner: &mut PlannerStats,
@@ -895,18 +774,13 @@ impl Server {
                 let ticket = queue.remove(index);
                 let plan = {
                     let views: Vec<BackendView> = (0..backends)
-                        .map(|i| self.backend_view(i, &ticket, now, schedules, &assigned))
+                        .map(|i| self.backend_view(i, &ticket, now, &wave.schedules, &assigned))
                         .collect();
                     let job = self.job_view(&ticket);
                     self.pool.strategy().place(&job, &views)
                 };
+                self.pool.check_plan(&plan)?;
                 let preferred = plan.backend;
-                if preferred >= backends {
-                    return Err(RuntimeError::Placement {
-                        index: preferred,
-                        arrays: backends,
-                    });
-                }
                 let chosen = if ticket.eligible(preferred) && assigned[preferred].len() < self.depth
                 {
                     preferred
@@ -918,7 +792,7 @@ impl Server {
                     // re-route the job before it starts.
                     match (0..backends)
                         .filter(|&i| ticket.eligible(i) && assigned[i].len() < self.depth)
-                        .min_by_key(|&i| (self.projection(i, now, schedules, &assigned), i))
+                        .min_by_key(|&i| (self.projection(i, now, &wave.schedules, &assigned), i))
                     {
                         Some(i) => i,
                         None => {
@@ -929,22 +803,11 @@ impl Server {
                     }
                 };
                 if let Some(directive) = plan.prefetch {
-                    if directive.backend >= backends {
-                        return Err(RuntimeError::Placement {
-                            index: directive.backend,
-                            arrays: backends,
-                        });
-                    }
-                    self.pool.stage_prefetch(
-                        directive.backend,
-                        ticket.kernel,
-                        now,
-                        schedules,
-                        wave,
-                    );
+                    self.pool
+                        .stage_prefetch(directive.backend, ticket.kernel, now, wave);
                 }
-                wave.jobs += 1;
-                wave.arrays[chosen].jobs += 1;
+                wave.fleet.jobs += 1;
+                wave.fleet.arrays[chosen].jobs += 1;
                 let head_key = ticket.key.clone();
                 assigned[chosen].push_back((ticket, now));
                 progressed = true;
@@ -966,8 +829,8 @@ impl Server {
                             break;
                         };
                         let rider = queue.remove(next);
-                        wave.jobs += 1;
-                        wave.arrays[chosen].jobs += 1;
+                        wave.fleet.jobs += 1;
+                        wave.fleet.arrays[chosen].jobs += 1;
                         assigned[chosen].push_back((rider, now));
                         riders += 1;
                     }
@@ -982,7 +845,7 @@ impl Server {
             // Steal: re-route queued jobs away from the backend whose
             // projected backlog drifted furthest ahead of the fleet.
             if self.stealing {
-                self.steal_pass(now, schedules, &mut assigned, wave, steals);
+                self.steal_pass(now, wave, &mut assigned, steals);
             }
 
             // Eviction co-planning: announce, per backend, the programs
@@ -1021,7 +884,7 @@ impl Server {
                         if self.pool.backend(i).is_warm(key) {
                             continue;
                         }
-                        self.pool.stage_prefetch(i, kernel, now, schedules, wave);
+                        self.pool.stage_prefetch(i, kernel, now, wave);
                         if self.pool.backend(i).is_warm(key) {
                             planner.planned_prefetches += 1;
                         }
@@ -1030,54 +893,23 @@ impl Server {
             }
 
             // Execute: materialise the front job of every backend whose
-            // compute engine has caught up with the clock.
-            for i in 0..backends {
-                while !assigned[i].is_empty() && schedules[i].free_at(Engine::Compute) <= now {
-                    let (ticket, assign_cycle) = assigned[i].pop_front().unwrap();
-                    let kind = self.pool.backend(i).kind();
-                    // The route is final only now: stealing may have moved
-                    // the ticket since dispatch.
-                    wave.routes.push(JobRoute {
-                        job: ticket.seq,
-                        backend: i,
-                        kind,
-                        energy_nj: 0,
-                    });
-                    let mut first_compute: Option<u64> = None;
-                    let mut completed = assign_cycle;
-                    let mut compute_cycles = 0u64;
-                    let mut count = 0u64;
-                    for window in ticket.windows {
-                        let (output, phases, window_nj) = run_window_on(
-                            self.pool.backend_mut(i),
-                            ticket.kernel,
-                            &ticket.key,
-                            window.borrow(),
-                            &mut wave.arrays[i].report,
-                        )?;
-                        // Attribute the window's measured joules to the
-                        // job as they land, so even an aborted run's
-                        // routes price the work actually done.
-                        wave.routes
-                            .last_mut()
-                            .expect("route pushed above")
-                            .energy_nj += window_nj;
-                        let spans = schedules[i].push_at(phases, assign_cycle);
-                        first_compute.get_or_insert(spans.compute.start);
-                        completed = spans.irq.end;
-                        compute_cycles += phases.compute;
-                        count += 1;
-                        sink(ticket.seq, output)?;
-                    }
-                    // Learn the kernel's observed cost *on this kind of
-                    // backend* — offload substrates included, so their
-                    // queued jobs project real horizons too.
-                    let entry = self.estimates.entry((kind, ticket.key)).or_insert((0, 0));
-                    entry.0 += compute_cycles;
-                    entry.1 += count;
+            // compute engine has caught up with the clock.  The route is
+            // final only now: stealing may have moved the ticket since
+            // dispatch.
+            for (i, run_queue) in assigned.iter_mut().enumerate() {
+                while !run_queue.is_empty() && wave.schedules[i].free_at(Engine::Compute) <= now {
+                    let (ticket, assign_cycle) =
+                        run_queue.pop_front().expect("run queue checked non-empty");
+                    let (service_start, completed) = self.pool.run_job(
+                        i,
+                        (ticket.seq, ticket.kernel, &ticket.key),
+                        ticket.windows,
+                        assign_cycle,
+                        wave,
+                        &mut sink,
+                    )?;
                     // The host knows the job is done once the last
                     // window's completion interrupt was serviced.
-                    let service_start = first_compute.unwrap_or(completed);
                     latencies.push(JobLatency {
                         job: ticket.seq,
                         tenant: ticket.tenant,
@@ -1108,7 +940,7 @@ impl Server {
             let next_arrival = pending.front().map(|t| t.arrival);
             let next_free = (0..backends)
                 .filter(|&i| !assigned[i].is_empty())
-                .map(|i| schedules[i].free_at(Engine::Compute))
+                .map(|i| wave.schedules[i].free_at(Engine::Compute))
                 .min();
             now = match (next_arrival, next_free) {
                 (Some(a), Some(f)) => a.min(f),
@@ -1129,9 +961,8 @@ impl Server {
     fn steal_pass<'k, K, I>(
         &mut self,
         now: u64,
-        schedules: &mut [StreamSchedule],
+        wave: &mut Wave,
         assigned: &mut [VecDeque<(Ticket<'k, K, I>, u64)>],
-        wave: &mut FleetReport,
         steals: &mut u64,
     ) where
         K: Kernel,
@@ -1142,7 +973,7 @@ impl Server {
         while budget > 0 {
             budget -= 1;
             let projections: Vec<u64> = (0..backends)
-                .map(|i| self.projection(i, now, schedules, assigned))
+                .map(|i| self.projection(i, now, &wave.schedules, assigned))
                 .collect();
             let Some(donor) = (0..backends)
                 .filter(|&i| !assigned[i].is_empty())
@@ -1154,7 +985,7 @@ impl Server {
                 let (ticket, _) = assigned[donor].back().expect("donor has a queued job");
                 let views: Vec<BackendView> = (0..backends)
                     .filter(|&i| i != donor)
-                    .map(|i| self.backend_view(i, ticket, now, schedules, assigned))
+                    .map(|i| self.backend_view(i, ticket, now, &wave.schedules, assigned))
                     .collect();
                 if views.is_empty() {
                     return; // single-backend pool: nowhere to steal to
@@ -1194,33 +1025,23 @@ impl Server {
                 return;
             }
             let (ticket, _) = assigned[donor].pop_back().expect("donor checked non-empty");
-            if let Some(directive) = Self::steal_prefetch_target(&plan, donor, backends, target) {
-                self.pool
-                    .stage_prefetch(directive, ticket.kernel, now, schedules, wave);
+            // A stolen job's prefetch fires where the plan directs it,
+            // unless that is the donor or no backend at all: then on the
+            // steal target.  Staging skips backends without configuration
+            // memory, so no capability check is needed here.
+            if let Some(directive) = plan.prefetch {
+                let stage_on = if directive.backend < backends && directive.backend != donor {
+                    directive.backend
+                } else {
+                    target
+                };
+                self.pool.stage_prefetch(stage_on, ticket.kernel, now, wave);
             }
             // The job now counts on the thief backend.
-            wave.arrays[donor].jobs -= 1;
-            wave.arrays[target].jobs += 1;
+            wave.fleet.arrays[donor].jobs -= 1;
+            wave.fleet.arrays[target].jobs += 1;
             assigned[target].push_back((ticket, now));
             *steals += 1;
-        }
-    }
-
-    /// Where a stolen job's prefetch directive should fire: the plan's
-    /// directive if it names a valid non-donor backend, else the actual
-    /// steal target.  [`Pool::stage_prefetch`] itself skips backends with
-    /// no configuration memory, so no capability check is needed here.
-    fn steal_prefetch_target(
-        plan: &PlacementPlan,
-        donor: usize,
-        backends: usize,
-        target: usize,
-    ) -> Option<usize> {
-        let directive = plan.prefetch?;
-        if directive.backend < backends && directive.backend != donor {
-            Some(directive.backend)
-        } else {
-            Some(target)
         }
     }
 }
@@ -1228,6 +1049,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::BackendPrice;
     use crate::session::Session;
     use crate::testing::BakedScaleKernel;
 
@@ -1835,9 +1657,11 @@ mod tests {
             kernel,
             windows: std::iter::empty(),
             key: key.to_string(),
-            config_words,
-            classes: 0,
-            prices,
+            pricing: JobPricing {
+                classes: 0,
+                config_words,
+                per_backend: prices,
+            },
             windows_hint,
             tenant: 0,
             arrival: 0,
@@ -1877,7 +1701,12 @@ mod tests {
             ],
         );
         // Cold server: no learned estimates anywhere.
-        assert_eq!(server.per_window_estimate_on(&ticket, 1), modelled);
+        assert_eq!(
+            server
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, 1),
+            modelled
+        );
         assert_eq!(server.est_cost(&ticket, 1), 4 * modelled);
         assert!(
             server.est_cost(&ticket, 1) > 1_000,
@@ -1901,7 +1730,12 @@ mod tests {
                 window_energy_nj: None,
             }],
         );
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), 57);
+        assert_eq!(
+            server
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, 0),
+            57
+        );
     }
 
     #[test]
@@ -1916,23 +1750,23 @@ mod tests {
                 .unwrap()
                 .with_backend(crate::backend::FftBackend::new()),
         );
-        server
-            .estimates
-            .insert((BackendKind::Array, "k".to_string()), (10_000, 10));
-        server
-            .estimates
-            .insert((BackendKind::FftAccel, "k".to_string()), (70_000, 20));
-        assert_eq!(server.learned_mean(BackendKind::Array, "k"), Some(1_000));
-        assert_eq!(server.learned_mean(BackendKind::FftAccel, "k"), Some(3_500));
-        assert_eq!(server.learned_mean(BackendKind::Cpu, "k"), None);
+        server.pool.learn(BackendKind::Array, "k", 10_000, 10);
+        server.pool.learn(BackendKind::FftAccel, "k", 70_000, 20);
+        assert_eq!(
+            server.pool.learned_mean(BackendKind::Array, "k"),
+            Some(1_000)
+        );
+        assert_eq!(
+            server.pool.learned_mean(BackendKind::FftAccel, "k"),
+            Some(3_500)
+        );
+        assert_eq!(server.pool.learned_mean(BackendKind::Cpu, "k"), None);
 
         // The kind-wide fallback pools same-kind entries only.
-        server
-            .estimates
-            .insert((BackendKind::Array, "other".to_string()), (2_000, 10));
-        assert_eq!(server.kind_mean(BackendKind::Array), Some(600));
-        assert_eq!(server.kind_mean(BackendKind::FftAccel), Some(3_500));
-        assert_eq!(server.kind_mean(BackendKind::Cpu), None);
+        server.pool.learn(BackendKind::Array, "other", 2_000, 10);
+        assert_eq!(server.pool.kind_mean(BackendKind::Array), Some(600));
+        assert_eq!(server.pool.kind_mean(BackendKind::FftAccel), Some(3_500));
+        assert_eq!(server.pool.kind_mean(BackendKind::Cpu), None);
 
         // An unseen key on the array prices at the array mean, untouched
         // by the engine's much heavier observations.
@@ -1952,7 +1786,42 @@ mod tests {
                 BackendPrice::INELIGIBLE,
             ],
         );
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), 600);
+        assert_eq!(
+            server
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, 0),
+            600
+        );
+    }
+
+    #[test]
+    fn a_server_projects_with_what_the_pools_batches_learned() {
+        // Batch fan-outs and serving runs share the pool's estimator: a
+        // server wrapped around a pool that already ran batches projects
+        // the measured array mean, not the cold-start footprint proxy.
+        let kernel = BakedScaleKernel::new(2);
+        let ws = windows(4, 0);
+        let mut pool = Pool::new(1);
+        let (_, fleet) = pool
+            .run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
+            .unwrap();
+        let measured = fleet.arrays[0].report.busy.compute / ws.len() as u64;
+        let mut server = Server::new(pool);
+        let key = kernel.cache_key();
+        let pricing = server.pool.price_job(&kernel, &key).unwrap();
+        assert_ne!(
+            measured, pricing.config_words as u64,
+            "the cold proxy must differ for the test to discriminate"
+        );
+        let ticket = priced_ticket(&kernel, &key, pricing.config_words, 3, pricing.per_backend);
+        assert_eq!(server.job_view(&ticket).window_cycles_hint, measured);
+        let schedules = [StreamSchedule::new()];
+        let assigned = [VecDeque::from([(ticket, 0)])];
+        assert_eq!(
+            server.projection(0, 0, &schedules, &assigned),
+            3 * measured,
+            "the first projection prices the queued job at the learned mean"
+        );
     }
 
     #[test]
@@ -1986,18 +1855,29 @@ mod tests {
         let ticket = priced_ticket(&kernel, "fft-256", 800, 1, prices);
         // Cold server: the footprint proxy (800) would underprice the
         // array — the engine's modelled window floors it.
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), modelled);
+        assert_eq!(
+            server
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, 0),
+            modelled
+        );
         // A crumb-dominated array-wide mean is floored the same way.
-        server
-            .estimates
-            .insert((BackendKind::Array, "crumb".to_string()), (3_000, 10));
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), modelled);
+        server.pool.learn(BackendKind::Array, "crumb", 3_000, 10);
+        assert_eq!(
+            server
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, 0),
+            modelled
+        );
         // A learned mean for the key itself is a measurement: trusted
         // as-is, even above the floor.
-        server
-            .estimates
-            .insert((BackendKind::Array, "fft-256".to_string()), (40_000, 10));
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), 4_000);
+        server.pool.learn(BackendKind::Array, "fft-256", 40_000, 10);
+        assert_eq!(
+            server
+                .pool
+                .per_window_estimate_on(&ticket.key, &ticket.pricing, 0),
+            4_000
+        );
     }
 
     #[test]

@@ -911,9 +911,7 @@ impl Session {
         let mut schedule = StreamSchedule::new();
         let (output, phases) = self.run_into(kernel, input, &mut report)?;
         schedule.push(phases);
-        let timeline = schedule.finish();
-        report.wall_cycles = timeline.wall_cycles();
-        report.busy = timeline.occupancy();
+        schedule.finish_into(&mut report);
         Ok((output, report))
     }
 
@@ -978,9 +976,7 @@ impl Session {
             schedule.push(phases);
             sink(output)?;
         }
-        let timeline = schedule.finish();
-        report.wall_cycles = timeline.wall_cycles();
-        report.busy = timeline.occupancy();
+        schedule.finish_into(&mut report);
         Ok(report)
     }
 

@@ -84,9 +84,9 @@ pub use vwr2a_soc as soc;
 // online serving layer with its scheduling policies, and the unified
 // reports with per-backend attribution.
 pub use vwr2a_runtime::{
-    ArcPolicy, ArrayBackend, Backend, BackendKind, BackendKindStats, BackendView, CostAware,
-    CpuBackend, EarliestDeadlineFirst, FftBackend, FftShape, Fifo, FleetReport, JobLatency,
-    JobRoute, Kernel, LeastLoaded, Objective, Offload, Placement, PlacementPlan, PlannerStats,
-    Pool, PrefetchDirective, ResidencyAware, RoundRobin, RunReport, SchedPolicy, ServeJob,
-    ServeReport, Server, Session, TenantId, TenantStats, WeightedFair,
+    ArcPolicy, Backend, BackendKind, BackendKindStats, BackendView, CostAware, CpuBackend,
+    EarliestDeadlineFirst, FftBackend, FftShape, Fifo, FleetReport, JobLatency, JobRoute, Kernel,
+    LeastLoaded, Objective, Offload, Placement, PlacementPlan, PlannerStats, Pool,
+    PrefetchDirective, ResidencyAware, RoundRobin, RunReport, SchedPolicy, ServeJob, ServeReport,
+    Server, Session, TenantId, TenantStats, WeightedFair,
 };

@@ -562,8 +562,14 @@ fn facade_root_reexports_the_fleet_api() {
     // masks, per-job routes and the backend implementations themselves.
     use vwr2a::{Backend, BackendKind, CpuBackend, FftBackend};
     assert_eq!(BackendKind::Array.label(), "array");
-    assert_eq!(FftBackend::new().kind(), BackendKind::FftAccel);
-    assert_eq!(CpuBackend::new().capabilities(), vwr2a::runtime::CAP_CPU);
+    assert_eq!(
+        Backend::from(FftBackend::new()).kind(),
+        BackendKind::FftAccel
+    );
+    assert_eq!(
+        Backend::from(CpuBackend::new()).capabilities(),
+        vwr2a::runtime::CAP_CPU
+    );
     let hetero: Pool = Pool::new(1).with_backend(FftBackend::new());
     assert_eq!(hetero.arrays(), 2, "the fleet counts every backend");
 
