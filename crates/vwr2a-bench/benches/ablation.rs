@@ -1,18 +1,14 @@
-//! Criterion bench behind the ablation experiments (E7 in DESIGN.md):
-//! isolated cold runs vs a warm window stream through one `Session`.
+//! Criterion bench behind the `ablation` binary's configuration-reload
+//! experiment: isolated cold runs vs a warm window stream through one
+//! `Session`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vwr2a_bench::run_fir_stream;
-use vwr2a_dsp::fixed::Q15;
+use vwr2a_bench::{lowpass_q15, run_fir_stream};
 use vwr2a_kernels::fir::FirKernel;
 use vwr2a_runtime::Session;
 
 fn bench_ablation(c: &mut Criterion) {
-    let taps: Vec<i32> = vwr2a_dsp::fir::design_lowpass(11, 0.1)
-        .unwrap()
-        .iter()
-        .map(|&t| Q15::from_f64(t).0 as i32)
-        .collect();
+    let taps = lowpass_q15(11, 0.1);
     let input: Vec<i32> = (0..512).map(|i| ((i * 97) % 16384) - 8192).collect();
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);

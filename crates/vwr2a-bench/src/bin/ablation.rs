@@ -1,9 +1,9 @@
-//! Ablation experiments for the design choices discussed in Sec. 3.2 and
-//! DESIGN.md (E7): the cost of the kernel-launch configuration reload that
+//! Ablation experiments for the design choices discussed in Sec. 3.2 of the
+//! paper: the cost of the kernel-launch configuration reload that
 //! session-resident programs avoid, and the sensitivity of the energy
 //! results to the wide-memory coefficients.
 
-use vwr2a_bench::{run_fft_comparison, run_fir_stream};
+use vwr2a_bench::{lowpass_q15, run_fft_comparison, run_fir_stream};
 use vwr2a_dsp::fixed::to_q16;
 use vwr2a_energy::coefficients::Vwr2aCoefficients;
 use vwr2a_energy::vwr2a_energy_with;
@@ -23,12 +23,7 @@ fn main() {
     // Re-evaluate the same activity with narrower-memory-style coefficients:
     // the VWR word access priced like a narrow SPM word access (what a
     // register-file/cache organisation would pay).
-    let taps: Vec<i32> = vwr2a_dsp::fir::design_lowpass(11, 0.1)
-        .unwrap()
-        .iter()
-        .map(|&t| (t * 32768.0) as i32)
-        .collect();
-    let kernel = FirKernel::new(&taps, 512).expect("valid kernel");
+    let kernel = FirKernel::new(&lowpass_q15(11, 0.1), 512).expect("valid kernel");
     let input: Vec<i32> = (0..512)
         .map(|i| to_q16(((i % 64) as f64 - 32.0) / 64.0) >> 16)
         .collect();

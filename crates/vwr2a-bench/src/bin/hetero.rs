@@ -45,10 +45,8 @@
 //! (they used to be skipped for `K != 1`).  Host wall-clock per served
 //! window is reported next to the modelled numbers.
 
-use vwr2a_bench::{poisson_arrivals, time_host, SplitMix64};
+use vwr2a_bench::{lowpass_q15, poisson_arrivals, time_host, SplitMix64};
 use vwr2a_core::geometry::Geometry;
-use vwr2a_dsp::fir::design_lowpass;
-use vwr2a_dsp::fixed::Q15;
 use vwr2a_fftaccel::{FftAccelStats, FftAccelerator};
 use vwr2a_kernels::fft::FftKernel;
 use vwr2a_kernels::fir::FirKernel;
@@ -186,11 +184,7 @@ fn palette() -> Vec<MixKernel> {
         FftKernel::new(FFT_POINTS).expect("supported FFT length"),
     )];
     for k in 0..CRUMB_VARIANTS {
-        let taps: Vec<i32> = design_lowpass(11, 0.06 + 0.05 * k as f64)
-            .expect("valid filter design")
-            .iter()
-            .map(|&v| Q15::from_f64(v).0 as i32)
-            .collect();
+        let taps = lowpass_q15(11, 0.06 + 0.05 * k as f64);
         kernels.push(MixKernel::Fir(
             FirKernel::new(&taps, CRUMB_SAMPLES).expect("valid kernel"),
         ));
@@ -267,13 +261,14 @@ fn config_capacity(kernels: &[MixKernel]) -> usize {
 }
 
 /// Serves the stream on one fleet and checks every output against the
-/// landed backend's own serial model.
+/// landed backend's own serial model (`serial` is the array reference).
 fn serve_on(
     pool: Pool,
     stealing: bool,
     depth: usize,
     specs: &[JobSpec],
     kernels: &[MixKernel],
+    serial: &[Vec<MixOutput>],
 ) -> ServeReport {
     let mut server = Server::new(pool)
         .with_policy(Fifo)
@@ -289,7 +284,7 @@ fn serve_on(
             deadline_cycle: None,
         }))
         .expect("serving runs");
-    check_routes(&outputs, &report.fleet, specs, kernels);
+    check_routes(&outputs, &report.fleet, specs, kernels, serial);
     report
 }
 
@@ -301,10 +296,8 @@ fn check_routes(
     fleet: &FleetReport,
     specs: &[JobSpec],
     kernels: &[MixKernel],
+    serial: &[Vec<MixOutput>],
 ) {
-    let (serial, _) =
-        Pool::run_serial_reference(specs.iter().map(|s| (&kernels[s.pick], s.windows.iter())))
-            .expect("serial reference runs");
     assert_eq!(fleet.routes.len(), specs.len(), "one route per job");
     for route in &fleet.routes {
         let spec = &specs[route.job];
@@ -377,6 +370,11 @@ fn run_cell(seed: u64, jobs: usize, mean_gap: f64, wscale: usize) -> Cell {
     let specs = workload(seed, jobs, mean_gap, wscale);
     let windows_served = 4 * specs.iter().map(|s| s.windows.len() as u64).sum::<u64>();
     let capacity = config_capacity(&kernels);
+    // The serial single-session reference every array-landed job is
+    // checked against: the same for all four fleet configurations.
+    let (serial, _) =
+        Pool::run_serial_reference(specs.iter().map(|s| (&kernels[s.pick], s.windows.iter())))
+            .expect("serial reference runs");
     let baseline_pool = Pool::with_sessions(constrained_sessions(3, capacity))
         .expect("constrained sessions share one geometry");
     let objective_run = |objective: Objective| {
@@ -386,13 +384,14 @@ fn run_cell(seed: u64, jobs: usize, mean_gap: f64, wscale: usize) -> Cell {
             OBJECTIVE_DEPTH,
             &specs,
             &kernels,
+            &serial,
         )
     };
     Cell {
         seed,
         windows_served,
-        hetero: serve_on(hetero_pool(capacity), true, 2, &specs, &kernels),
-        baseline: serve_on(baseline_pool, true, 2, &specs, &kernels),
+        hetero: serve_on(hetero_pool(capacity), true, 2, &specs, &kernels, &serial),
+        baseline: serve_on(baseline_pool, true, 2, &specs, &kernels, &serial),
         obj_cycles: objective_run(Objective::Cycles),
         obj_edp: objective_run(Objective::EnergyDelayProduct),
     }

@@ -35,9 +35,8 @@
 //! ever pays more cold reloads (or hides fewer) than the plain serving
 //! configuration at any fleet scale.
 
+use vwr2a_bench::lowpass_q15;
 use vwr2a_core::geometry::Geometry;
-use vwr2a_dsp::fir::design_lowpass;
-use vwr2a_dsp::fixed::Q15;
 use vwr2a_kernels::fir::FirKernel;
 use vwr2a_runtime::pool::{CostAware, LeastLoaded, Placement, Pool, ResidencyAware, RoundRobin};
 use vwr2a_runtime::testing::constrained_sessions;
@@ -46,12 +45,7 @@ use vwr2a_runtime::{ArcPolicy, FleetReport, Kernel, ServeJob, ServeReport, Serve
 const N: usize = 256;
 
 fn fir(cutoff: f64) -> FirKernel {
-    let taps: Vec<i32> = design_lowpass(11, cutoff)
-        .expect("valid filter design")
-        .iter()
-        .map(|&v| Q15::from_f64(v).0 as i32)
-        .collect();
-    FirKernel::new(&taps, N).expect("valid kernel")
+    FirKernel::new(&lowpass_q15(11, cutoff), N).expect("valid kernel")
 }
 
 /// `mix` distinct FIR programs (different cutoffs ⇒ different baked taps).

@@ -33,10 +33,9 @@
 //!
 //! Run with `--smoke` for the fast CI configuration.
 
+use vwr2a_bench::lowpass_q15;
 use vwr2a_core::geometry::Geometry;
 use vwr2a_core::Vwr2a;
-use vwr2a_dsp::fir::design_lowpass;
-use vwr2a_dsp::fixed::Q15;
 use vwr2a_kernels::fir::FirKernel;
 use vwr2a_runtime::{
     ArcPolicy, EvictionPolicy, Kernel, LfuPolicy, LruPolicy, RunReport, Session, SizeAwareLru,
@@ -45,12 +44,7 @@ use vwr2a_runtime::{
 const N: usize = 256;
 
 fn fir(taps: usize, fc: f64) -> FirKernel {
-    let taps: Vec<i32> = design_lowpass(taps, fc)
-        .expect("valid filter design")
-        .iter()
-        .map(|&v| Q15::from_f64(v).0 as i32)
-        .collect();
-    FirKernel::new(&taps, N).expect("valid kernel")
+    FirKernel::new(&lowpass_q15(taps, fc), N).expect("valid kernel")
 }
 
 fn kernels() -> Vec<FirKernel> {

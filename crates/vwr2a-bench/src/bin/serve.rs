@@ -45,10 +45,8 @@
 //! at every `K` (they used to be skipped for `K != 1`).  Host wall-clock
 //! per served window is reported next to the modelled numbers.
 
-use vwr2a_bench::{poisson_arrivals, time_host, SplitMix64};
+use vwr2a_bench::{lowpass_q15, poisson_arrivals, time_host, SplitMix64};
 use vwr2a_core::geometry::Geometry;
-use vwr2a_dsp::fir::design_lowpass;
-use vwr2a_dsp::fixed::Q15;
 use vwr2a_kernels::fir::FirKernel;
 use vwr2a_runtime::pool::Pool;
 use vwr2a_runtime::testing::constrained_sessions;
@@ -62,12 +60,7 @@ const N: usize = 256;
 const CHATTY: u32 = 0;
 
 fn fir(cutoff: f64) -> FirKernel {
-    let taps: Vec<i32> = design_lowpass(11, cutoff)
-        .expect("valid filter design")
-        .iter()
-        .map(|&v| Q15::from_f64(v).0 as i32)
-        .collect();
-    FirKernel::new(&taps, N).expect("valid kernel")
+    FirKernel::new(&lowpass_q15(11, cutoff), N).expect("valid kernel")
 }
 
 fn kernels(mix: usize) -> Vec<FirKernel> {

@@ -10,10 +10,8 @@
 //!
 //! Run with `--smoke` for the fast CI configuration.
 
-use vwr2a_bench::FREQUENCY_HZ;
+use vwr2a_bench::{lowpass_q15, FREQUENCY_HZ};
 use vwr2a_core::stats::time_us;
-use vwr2a_dsp::fir::design_lowpass;
-use vwr2a_dsp::fixed::Q15;
 use vwr2a_kernels::fir::FirKernel;
 use vwr2a_runtime::{RunReport, Session};
 
@@ -30,12 +28,7 @@ fn windows(count: usize) -> Vec<Vec<i32>> {
 }
 
 fn run_stream(count: usize) -> RunReport {
-    let taps: Vec<i32> = design_lowpass(11, 0.1)
-        .expect("valid filter design")
-        .iter()
-        .map(|&v| Q15::from_f64(v).0 as i32)
-        .collect();
-    let kernel = FirKernel::new(&taps, N).expect("valid kernel");
+    let kernel = FirKernel::new(&lowpass_q15(11, 0.1), N).expect("valid kernel");
     let inputs = windows(count);
     let mut session = Session::new();
     let (_, report) = session

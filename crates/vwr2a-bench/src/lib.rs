@@ -1,10 +1,19 @@
 //! Experiment harness regenerating the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one artefact (see DESIGN.md §5):
-//! `table2`, `fig2`, `table3`, `table4`, `table5`, `ulpsrp` and `ablation`;
-//! `residency` (configuration-memory pressure and eviction policies) and
-//! `streaming` (pipelined-overlap sweep) probe the runtime beyond the
-//! paper's tables and run in CI with `--smoke`.
+//! The binaries in `src/bin/` fall into three groups:
+//!
+//! * paper artefacts — `table2`, `fig2`, `table3`, `table4`, `table5`,
+//!   `ulpsrp` and `ablation` (EXPERIMENTS.md logs where they deviate from
+//!   the paper);
+//! * runtime probes — `residency` (configuration-memory pressure and
+//!   eviction policies) and `streaming` (pipelined-overlap sweep);
+//! * gates — `pool` (fleet placement and planner), `serve` (online serving
+//!   latency), `hetero` (heterogeneous routing) and `replay` (replay-cache
+//!   hit rate and host speed-up), each exiting non-zero when its win
+//!   regresses.
+//!
+//! The probes and gates take `--smoke` for the fast CI configuration.
+//!
 //! The shared measurement functions live here so that the Criterion benches
 //! exercise exactly the same code paths as the binaries.  Every VWR2A
 //! measurement goes through a fresh [`Session`], matching the paper's
@@ -27,6 +36,20 @@ use vwr2a_soc::soc::BiosignalSoc;
 
 /// The platform clock frequency (80 MHz).
 pub const FREQUENCY_HZ: f64 = 80.0e6;
+
+/// A `taps`-tap windowed-sinc low-pass at normalised `cutoff`, quantised to
+/// `q15` and widened to the `i32` words the FIR kernels take.
+///
+/// # Panics
+///
+/// Panics if the design parameters are invalid (harness bug).
+pub fn lowpass_q15(taps: usize, cutoff: f64) -> Vec<i32> {
+    vwr2a_dsp::fir::design_lowpass(taps, cutoff)
+        .expect("valid filter design")
+        .iter()
+        .map(|&v| Q15::from_f64(v).0 as i32)
+        .collect()
+}
 
 /// Result of one FFT measurement on one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,8 +193,7 @@ pub struct FirComparison {
 ///
 /// Panics on simulator errors (harness bug).
 pub fn run_fir_comparison(n: usize) -> FirComparison {
-    let taps_f = vwr2a_dsp::fir::design_lowpass(11, 0.1).unwrap();
-    let taps: Vec<i32> = taps_f.iter().map(|&v| Q15::from_f64(v).0 as i32).collect();
+    let taps = lowpass_q15(11, 0.1);
     let input: Vec<i32> = test_signal(n)
         .iter()
         .map(|&v| Q15::from_f64(v).0 as i32)
@@ -203,9 +225,7 @@ pub fn run_fir_comparison(n: usize) -> FirComparison {
 ///
 /// Panics on simulator errors (harness bug).
 pub fn run_fir_stream(n: usize, windows: usize) -> RunReport {
-    let taps_f = vwr2a_dsp::fir::design_lowpass(11, 0.1).unwrap();
-    let taps: Vec<i32> = taps_f.iter().map(|&v| Q15::from_f64(v).0 as i32).collect();
-    let kernel = FirKernel::new(&taps, n).unwrap();
+    let kernel = FirKernel::new(&lowpass_q15(11, 0.1), n).unwrap();
     let inputs: Vec<Vec<i32>> = (0..windows)
         .map(|w| {
             test_signal(n)
@@ -262,9 +282,7 @@ pub struct ReplayMeasurement {
 ///
 /// Panics on simulator errors (harness bug).
 pub fn run_fir_replay_stream(n: usize, windows: usize, replay: bool) -> ReplayMeasurement {
-    let taps_f = vwr2a_dsp::fir::design_lowpass(11, 0.1).unwrap();
-    let taps: Vec<i32> = taps_f.iter().map(|&v| Q15::from_f64(v).0 as i32).collect();
-    let kernel = FirKernel::new(&taps, n).unwrap();
+    let kernel = FirKernel::new(&lowpass_q15(11, 0.1), n).unwrap();
     let signal = test_signal(n);
     let inputs: Vec<Vec<i32>> = (0..windows)
         .map(|w| {
@@ -292,10 +310,11 @@ pub fn run_fir_replay_stream(n: usize, windows: usize, replay: bool) -> ReplayMe
 
 /// A seeded SplitMix64 pseudo-random generator.
 ///
-/// The workspace vendors no random-number crate, and the serving benchmark
-/// needs reproducible workloads: the same `--seed` must generate the same
-/// arrival process on every machine so that CI gates compare like with
-/// like.  SplitMix64 (Steele, Lea & Flood 2014) is the standard seeding
+/// This crate takes no random-number dependency (the vendored `rand` is an
+/// offline stand-in covering only the `f64` ranges the synthetic
+/// respiration signal draws), and the serving benchmark needs reproducible
+/// workloads: the same `--seed` must generate the same arrival process on
+/// every machine so that CI gates compare like with like.  SplitMix64 (Steele, Lea & Flood 2014) is the standard seeding
 /// generator — a 64-bit Weyl sequence pushed through two xor-shift-multiply
 /// mixing rounds — small enough to vendor in twenty lines and statistically
 /// solid for workload synthesis.

@@ -1,7 +1,7 @@
 //! Synthetic respiration-signal generator.
 //!
 //! The paper's input comes from the MUSEIC analog front-end; we substitute a
-//! controllable synthetic waveform (DESIGN.md, substitution table): a slow
+//! controllable synthetic waveform: a slow
 //! breathing oscillation whose rate and depth are modulated, with additive
 //! noise, quantised to `q15`.  The application's compute cost depends only
 //! on the sample count and kernel sizes, so the synthetic signal exercises

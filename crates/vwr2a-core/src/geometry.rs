@@ -3,9 +3,9 @@
 //! The paper's instance (Sec. 3) has two columns of four reconfigurable
 //! cells, three 4096-bit very-wide registers per column, a 32 KiB shared
 //! scratchpad, an 8-entry scalar register file and 64-word program memories.
-//! All of these are captured in [`Geometry`] so the ablation experiments
-//! (E7 in DESIGN.md) can sweep them; [`Geometry::paper`] returns the
-//! published configuration.
+//! All of these are captured in [`Geometry`] so kernels and tests can run on
+//! other instances (e.g. a one-column array); [`Geometry::paper`] returns
+//! the published configuration.
 
 use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};

@@ -2,9 +2,12 @@
 //! reproduction.
 //!
 //! The VWR2A paper evaluates the accelerator on biosignal kernels: radix-2
-//! FFTs (complex and real-valued), an 11-tap FIR filter, statistical feature
-//! extraction (mean, median, RMS) and an SVM classifier.  This crate provides
-//! *reference* implementations of all of them, in three arithmetic flavours:
+//! FFTs (complex and real-valued), an 11-tap FIR filter, delineation,
+//! feature extraction and an SVM classifier.  This crate provides the
+//! *reference* implementations that the simulated kernels are checked
+//! against: the FFTs, the FIR filter and the integer delineation
+//! ([`stats::delineate_alternating`]).  The numeric references come in
+//! three arithmetic flavours:
 //!
 //! * `f64` floating point — the golden model used to validate everything
 //!   else;
@@ -48,6 +51,5 @@ pub mod fft_q15;
 pub mod fir;
 pub mod fixed;
 pub mod stats;
-pub mod svm;
 
 pub use error::DspError;

@@ -1,19 +1,13 @@
 //! The biosignal-processing SoC.
 //!
-//! [`BiosignalSoc`] assembles the substrate of Sec. 4.1: the Cortex-M4-like
-//! CPU, the 192 KiB banked SRAM, the AHB-like bus, the system DMA, the
-//! interrupt controller and the power domains.  Accelerators (the
-//! fixed-function FFT engine and VWR2A) live in their own crates and attach
-//! to this structure through the bus-master accounting and the
-//! `accelerators` power domain; the `vwr2a-bioapp` crate drives the whole
-//! platform for the application-level experiments.
+//! [`BiosignalSoc`] assembles what the CPU baseline of Sec. 4.1 needs: the
+//! Cortex-M4-like CPU, the 192 KiB SRAM and the platform clock.
+//! Accelerators (the fixed-function FFT engine and VWR2A) live in their own
+//! crates; the `vwr2a-bioapp` crate drives the whole platform for the
+//! application-level experiments.
 
-use crate::bus::{Bus, BusMaster};
 use crate::cpu::{Cpu, CpuInstr, CpuRunStats};
-use crate::dma::SystemDma;
 use crate::error::Result;
-use crate::irq::InterruptController;
-use crate::power::PowerDomains;
 use crate::sram::Sram;
 
 /// The assembled SoC platform.
@@ -41,10 +35,6 @@ use crate::sram::Sram;
 pub struct BiosignalSoc {
     cpu: Cpu,
     sram: Sram,
-    bus: Bus,
-    dma: SystemDma,
-    irq: InterruptController,
-    power: PowerDomains,
     frequency_hz: f64,
 }
 
@@ -57,10 +47,6 @@ impl BiosignalSoc {
         Self {
             cpu: Cpu::new(),
             sram: Sram::paper(),
-            bus: Bus::default(),
-            dma: SystemDma::default(),
-            irq: InterruptController::new(8),
-            power: PowerDomains::paper(),
             frequency_hz: Self::PAPER_FREQUENCY_HZ,
         }
     }
@@ -85,68 +71,18 @@ impl BiosignalSoc {
         &mut self.sram
     }
 
-    /// The system bus.
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// Mutable access to the system bus (accelerator integration charges its
-    /// traffic here).
-    pub fn bus_mut(&mut self) -> &mut Bus {
-        &mut self.bus
-    }
-
-    /// The interrupt controller.
-    pub fn irq(&self) -> &InterruptController {
-        &self.irq
-    }
-
-    /// Mutable access to the interrupt controller.
-    pub fn irq_mut(&mut self) -> &mut InterruptController {
-        &mut self.irq
-    }
-
-    /// The power domains.
-    pub fn power(&self) -> &PowerDomains {
-        &self.power
-    }
-
-    /// Mutable access to the power domains.
-    pub fn power_mut(&mut self) -> &mut PowerDomains {
-        &mut self.power
-    }
-
     /// The platform clock frequency in hertz.
     pub fn frequency_hz(&self) -> f64 {
         self.frequency_hz
     }
 
-    /// Runs a CPU program to completion, advancing the power domains and
-    /// charging the CPU's memory traffic to the bus.
+    /// Runs a CPU program to completion against the SRAM.
     ///
     /// # Errors
     ///
     /// Propagates CPU and SRAM errors.
     pub fn run_cpu_program(&mut self, program: &[CpuInstr]) -> Result<CpuRunStats> {
-        let stats = self.cpu.run(program, &mut self.sram)?;
-        self.bus
-            .transfer(BusMaster::Cpu, (stats.loads + stats.stores) as usize);
-        self.power.advance(stats.cycles);
-        Ok(stats)
-    }
-
-    /// Copies data within the SRAM using the system DMA, advancing the power
-    /// domains by the transfer duration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DMA and SRAM errors.
-    pub fn dma_copy(&mut self, src_addr: usize, dst_addr: usize, len: usize) -> Result<u64> {
-        let cycles =
-            self.dma
-                .copy_within_sram(&mut self.sram, &mut self.bus, src_addr, dst_addr, len)?;
-        self.power.advance(cycles);
-        Ok(cycles)
+        self.cpu.run(program, &mut self.sram)
     }
 
     /// Converts a cycle count to microseconds at the platform frequency.
@@ -169,7 +105,7 @@ mod tests {
     use vwr2a_dsp::fixed::Q15;
 
     #[test]
-    fn cpu_program_advances_power_and_bus() {
+    fn cpu_program_reports_its_memory_traffic() {
         let mut soc = BiosignalSoc::new();
         let program = vec![
             CpuInstr::Li { rd: 1, imm: 3 },
@@ -188,8 +124,7 @@ mod tests {
         let stats = soc.run_cpu_program(&program).unwrap();
         assert_eq!(stats.loads, 1);
         assert_eq!(stats.stores, 1);
-        assert_eq!(soc.bus().traffic(BusMaster::Cpu).beats, 2);
-        assert_eq!(soc.power().state("cpu").unwrap().on_cycles, stats.cycles);
+        assert_eq!(soc.cpu().reg(2).unwrap(), 3);
         assert!(soc.cycles_to_us(80) > 0.99 && soc.cycles_to_us(80) < 1.01);
     }
 
@@ -207,14 +142,5 @@ mod tests {
         assert!(stats.cycles > 1000);
         let out = soc.sram().dump(n + 16, n).unwrap();
         assert!(out.iter().any(|&v| v != 0));
-    }
-
-    #[test]
-    fn dma_copy_round_trip() {
-        let mut soc = BiosignalSoc::new();
-        soc.sram_mut().load(0, &[9, 8, 7]).unwrap();
-        let cycles = soc.dma_copy(0, 1000, 3).unwrap();
-        assert_eq!(soc.sram().dump(1000, 3).unwrap(), vec![9, 8, 7]);
-        assert!(cycles > 3);
     }
 }

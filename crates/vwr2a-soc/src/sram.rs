@@ -1,15 +1,14 @@
-//! On-chip SRAM: 192 KiB in six individually power-gateable banks.
+//! On-chip SRAM: 192 KiB of word-addressed data memory.
 //!
-//! The platform of Sec. 4.1 has 192 KiB of SRAM divided into six banks that
-//! can be individually power gated to save leakage.  The model stores the
-//! data, enforces the gating (reads/writes to a gated bank are errors, and
-//! gating a bank loses its contents), and counts accesses and gated/active
-//! cycles for the energy model.
+//! The platform of Sec. 4.1 has 192 KiB of SRAM divided into six banks.  The
+//! model stores the data and bounds-checks every access; the CPU baseline's
+//! energy is priced from its [`CpuRunStats`](crate::cpu::CpuRunStats), so
+//! the SRAM keeps no access counters of its own.
 
 use crate::error::{Result, SocError};
 use serde::{Deserialize, Serialize};
 
-/// The banked SRAM.
+/// The SoC SRAM.
 ///
 /// # Example
 ///
@@ -20,17 +19,13 @@ use serde::{Deserialize, Serialize};
 /// let mut sram = Sram::paper();           // 6 banks × 32 KiB
 /// sram.write_word(0, 123)?;
 /// assert_eq!(sram.read_word(0)?, 123);
-/// assert_eq!(sram.banks(), 6);
+/// assert_eq!(sram.words(), 6 * 32 * 1024 / 4);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Sram {
     words: Vec<i32>,
-    bank_words: usize,
-    gated: Vec<bool>,
-    reads: u64,
-    writes: u64,
 }
 
 impl Sram {
@@ -45,13 +40,8 @@ impl Sram {
             bank_bytes.is_multiple_of(4),
             "bank size must be whole words"
         );
-        let bank_words = bank_bytes / 4;
         Self {
-            words: vec![0; banks * bank_words],
-            bank_words,
-            gated: vec![false; banks],
-            reads: 0,
-            writes: 0,
+            words: vec![0; banks * bank_bytes / 4],
         }
     }
 
@@ -60,98 +50,46 @@ impl Sram {
         Self::new(6, 32 * 1024)
     }
 
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.gated.len()
-    }
-
     /// Capacity in 32-bit words.
     pub fn words(&self) -> usize {
         self.words.len()
     }
 
-    /// Words per bank.
-    pub fn bank_words(&self) -> usize {
-        self.bank_words
-    }
-
-    /// Which bank a word address belongs to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::AddressOutOfRange`] if the address is outside the
-    /// memory.
-    pub fn bank_of(&self, word_addr: usize) -> Result<usize> {
-        if word_addr >= self.words.len() {
-            return Err(SocError::AddressOutOfRange {
-                addr: word_addr,
-                capacity: self.words.len(),
-            });
+    fn out_of_range(&self, addr: usize) -> SocError {
+        SocError::AddressOutOfRange {
+            addr,
+            capacity: self.words.len(),
         }
-        Ok(word_addr / self.bank_words)
-    }
-
-    /// `true` if a bank is currently power gated.
-    pub fn is_gated(&self, bank: usize) -> bool {
-        self.gated.get(bank).copied().unwrap_or(false)
-    }
-
-    /// Gates or ungates a bank.  Gating a bank clears its contents (the
-    /// retention-less power gating used for maximum leakage savings).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::AddressOutOfRange`] for an invalid bank index.
-    pub fn set_gated(&mut self, bank: usize, gated: bool) -> Result<()> {
-        if bank >= self.gated.len() {
-            return Err(SocError::AddressOutOfRange {
-                addr: bank,
-                capacity: self.gated.len(),
-            });
-        }
-        if gated && !self.gated[bank] {
-            let start = bank * self.bank_words;
-            self.words[start..start + self.bank_words].fill(0);
-        }
-        self.gated[bank] = gated;
-        Ok(())
-    }
-
-    /// Number of banks currently powered on.
-    pub fn active_banks(&self) -> usize {
-        self.gated.iter().filter(|&&g| !g).count()
     }
 
     /// Reads one word.
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::AddressOutOfRange`] or [`SocError::BankPowerGated`].
-    pub fn read_word(&mut self, word_addr: usize) -> Result<i32> {
-        let bank = self.bank_of(word_addr)?;
-        if self.gated[bank] {
-            return Err(SocError::BankPowerGated { bank });
-        }
-        self.reads += 1;
-        Ok(self.words[word_addr])
+    /// Returns [`SocError::AddressOutOfRange`] if the address is outside the
+    /// memory.
+    pub fn read_word(&self, word_addr: usize) -> Result<i32> {
+        self.words
+            .get(word_addr)
+            .copied()
+            .ok_or_else(|| self.out_of_range(word_addr))
     }
 
     /// Writes one word.
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::AddressOutOfRange`] or [`SocError::BankPowerGated`].
+    /// Returns [`SocError::AddressOutOfRange`] if the address is outside the
+    /// memory.
     pub fn write_word(&mut self, word_addr: usize, value: i32) -> Result<()> {
-        let bank = self.bank_of(word_addr)?;
-        if self.gated[bank] {
-            return Err(SocError::BankPowerGated { bank });
+        if word_addr >= self.words.len() {
+            return Err(self.out_of_range(word_addr));
         }
-        self.writes += 1;
         self.words[word_addr] = value;
         Ok(())
     }
 
-    /// Bulk host-side write without access accounting (test/seed helper).
+    /// Bulk host-side write (test/seed helper).
     ///
     /// # Errors
     ///
@@ -160,15 +98,12 @@ impl Sram {
         let end = word_addr
             .checked_add(data.len())
             .filter(|&e| e <= self.words.len())
-            .ok_or(SocError::AddressOutOfRange {
-                addr: word_addr + data.len(),
-                capacity: self.words.len(),
-            })?;
+            .ok_or_else(|| self.out_of_range(word_addr + data.len()))?;
         self.words[word_addr..end].copy_from_slice(data);
         Ok(())
     }
 
-    /// Bulk host-side read without access accounting.
+    /// Bulk host-side read.
     ///
     /// # Errors
     ///
@@ -177,27 +112,8 @@ impl Sram {
         let end = word_addr
             .checked_add(len)
             .filter(|&e| e <= self.words.len())
-            .ok_or(SocError::AddressOutOfRange {
-                addr: word_addr + len,
-                capacity: self.words.len(),
-            })?;
+            .ok_or_else(|| self.out_of_range(word_addr + len))?;
         Ok(self.words[word_addr..end].to_vec())
-    }
-
-    /// Counted word reads so far.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Counted word writes so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Resets the access counters.
-    pub fn reset_counters(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
     }
 }
 
@@ -208,37 +124,15 @@ mod tests {
     #[test]
     fn paper_configuration() {
         let sram = Sram::paper();
-        assert_eq!(sram.banks(), 6);
         assert_eq!(sram.words(), 6 * 32 * 1024 / 4);
-        assert_eq!(sram.bank_words(), 8192);
-        assert_eq!(sram.active_banks(), 6);
     }
 
     #[test]
-    fn read_write_and_counters() {
+    fn read_write_round_trip() {
         let mut sram = Sram::new(2, 1024);
         sram.write_word(10, -3).unwrap();
         assert_eq!(sram.read_word(10).unwrap(), -3);
-        assert_eq!(sram.read_count(), 1);
-        assert_eq!(sram.write_count(), 1);
-        sram.reset_counters();
-        assert_eq!(sram.read_count(), 0);
-    }
-
-    #[test]
-    fn gated_banks_reject_access_and_lose_data() {
-        let mut sram = Sram::new(2, 1024);
-        sram.write_word(300, 77).unwrap(); // word 300 is in bank 1 (256 words per bank)
-        assert_eq!(sram.bank_of(300).unwrap(), 1);
-        sram.set_gated(1, true).unwrap();
-        assert!(matches!(
-            sram.read_word(300),
-            Err(SocError::BankPowerGated { bank: 1 })
-        ));
-        assert!(sram.write_word(300, 1).is_err());
-        assert_eq!(sram.active_banks(), 1);
-        sram.set_gated(1, false).unwrap();
-        assert_eq!(sram.read_word(300).unwrap(), 0, "contents lost while gated");
+        assert_eq!(sram.words(), 512);
     }
 
     #[test]
@@ -246,7 +140,6 @@ mod tests {
         let mut sram = Sram::new(1, 1024);
         assert!(sram.read_word(256).is_err());
         assert!(sram.write_word(1000, 0).is_err());
-        assert!(sram.set_gated(5, true).is_err());
         assert!(sram.load(200, &[0; 100]).is_err());
         assert!(sram.dump(0, 1000).is_err());
     }
@@ -257,6 +150,5 @@ mod tests {
         let data: Vec<i32> = (0..512).map(|i| i * 2 - 512).collect();
         sram.load(100, &data).unwrap();
         assert_eq!(sram.dump(100, 512).unwrap(), data);
-        assert_eq!(sram.read_count(), 0, "host access is not counted");
     }
 }

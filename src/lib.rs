@@ -14,10 +14,10 @@
 //!   relaunches (the paper's load-once/run-many model) the default — with
 //!   batched and streamed execution and a unified [`runtime::RunReport`].
 //! * [`asm`] — a textual assembler for the per-slot instruction streams.
-//! * [`dsp`] — golden reference DSP kernels (FFT, FIR, statistics, SVM) and
-//!   fixed-point arithmetic helpers.
-//! * [`soc`] — the biosignal SoC substrate: Cortex-M4-like CPU ISS, AHB-like
-//!   bus, SRAM banks, DMA, interrupts and power domains.
+//! * [`dsp`] — golden reference DSP kernels (FFT, FIR, integer delineation)
+//!   and fixed-point arithmetic helpers.
+//! * [`soc`] — the biosignal SoC substrate: Cortex-M4-like CPU ISS with the
+//!   baseline kernel programs, SRAM and completion-interrupt latency.
 //! * [`fftaccel`] — the fixed-function FFT accelerator used as the paper's
 //!   comparator.
 //! * [`energy`] — the activity-based energy model and component breakdowns.
