@@ -1,32 +1,42 @@
 //! Warm-window replay benchmark: host simulation speed of the replay cache
-//! (`vwr2a_core::replay`) on a warm FIR stream.
+//! (`vwr2a_core::replay`) on warm FIR and FFT streams.
 //!
 //! The workload is the steady state the cache targets: one session, one
-//! 11-tap FIR kernel, a long stream of warm windows whose *data* differs
-//! per window but whose control flow and SRF addressing parameters repeat.
-//! The first (unmeasured) window pays the cold load and records the trace;
+//! kernel, a long stream of warm windows whose *data* differs per window
+//! but whose control flow and SRF addressing parameters repeat.  Two rows
+//! run: the 11-tap FIR and the complex 256-point FFT, whose eight stage
+//! launches per window bump their output pointer with `AddSrf` (a pure
+//! write the recorder tracks instead of poisoning on).  For each row the
+//! first (unmeasured) window pays the cold load and records the traces;
 //! the measured phase then runs twice — once with the cache disabled
 //! (cycle-by-cycle interpretation) and once enabled — and the binary checks
 //! that the cache changed host wall-clock only: outputs, modelled cycles
 //! and activity counters must be bit-identical, and every measured launch
 //! must hit the cache (a 100 % warm hit rate).
 //!
-//! Full runs write `BENCH_replay.json`.  Run with `--smoke` for the fast
-//! CI gate (fails on any hit-rate miss or if replay-on host time does not
-//! beat replay-off; leaves the checked-in artifact alone); the full run
-//! additionally enforces the >= 10x host speed-up target.  `--windows N`
-//! overrides the stream length.
+//! Full runs write `BENCH_replay.json` (FIR keys unprefixed, FFT keys
+//! prefixed `fft_`).  Run with `--smoke` for the fast CI gate (fails on
+//! any hit-rate miss or if replay-on host time does not beat replay-off on
+//! either row; leaves the checked-in artifact alone); the full run
+//! additionally enforces the >= 10x host speed-up target on the FIR row.
+//! `--windows N` overrides the stream length.
 //!
 //! `--baseline PATH` regresses the measured replay-on host time per
-//! window against the `host_us_per_window_on` recorded in a checked-in
-//! `BENCH_replay.json`: the run fails if it exceeds the baseline by more
-//! than the tolerance factor.  The tolerance is deliberately loose — CI
-//! runners are slower and noisier than the machine that wrote the
+//! window against the `host_us_per_window_on` (FIR) and, when present,
+//! `fft_host_us_per_window_on` recorded in a checked-in
+//! `BENCH_replay.json`: the run fails if either exceeds its baseline by
+//! more than the tolerance factor.  The tolerance is deliberately loose —
+//! CI runners are slower and noisier than the machine that wrote the
 //! artifact — so the gate catches gross host-speed regressions (a broken
 //! replay path re-interpreting warm windows), not single-digit drift.
 //! The scheduled soak CI job uses this.
 
-use vwr2a_bench::{cycles_to_us, run_fir_replay_stream, ReplayMeasurement};
+use std::borrow::Borrow;
+use std::fmt::Debug;
+use vwr2a_bench::{
+    cycles_to_us, fft_replay_workload, fir_replay_workload, run_replay_stream, ReplayMeasurement,
+};
+use vwr2a_runtime::Kernel;
 
 const N: usize = 256;
 
@@ -44,15 +54,56 @@ fn extract_f64(json: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// The measured outcome of one row, reduced to what the gates and the
+/// artifact need.
+struct Row {
+    /// Row label in the table.
+    name: &'static str,
+    /// Prefix of the row's artifact keys (empty for the FIR row, whose key
+    /// names predate the FFT row and are read by the soak job).
+    key_prefix: &'static str,
+    windows: usize,
+    modelled_cycles: u64,
+    host_us_off: f64,
+    host_us_on: f64,
+    replayed: u64,
+    launches: u64,
+}
+
+impl Row {
+    fn hit_rate(&self) -> f64 {
+        self.replayed as f64 / self.launches as f64
+    }
+
+    fn speedup(&self) -> f64 {
+        self.host_us_off / self.host_us_on
+    }
+
+    fn us_per_window_on(&self) -> f64 {
+        self.host_us_on / self.windows as f64
+    }
+}
+
 /// Host-clock noise (scheduler preemption, frequency scaling) only ever
 /// *inflates* a wall-clock sample, so the minimum over a few repeats is
 /// the standard low-noise estimator.  Outputs and reports are identical
 /// across repeats — the simulator is deterministic — so only the timing
 /// of the kept measurement differs.
-fn best_of(repeats: usize, n: usize, windows: usize, replay: bool) -> ReplayMeasurement {
-    let mut best = run_fir_replay_stream(n, windows, replay);
+fn best_of<K, T>(
+    repeats: usize,
+    kernel: &K,
+    warmup: &K::Input,
+    inputs: &[T],
+    replay: bool,
+) -> ReplayMeasurement<K::Output>
+where
+    K: Kernel,
+    K::Output: PartialEq + Debug,
+    T: Borrow<K::Input>,
+{
+    let mut best = run_replay_stream(kernel, warmup, inputs, replay);
     for _ in 1..repeats {
-        let next = run_fir_replay_stream(n, windows, replay);
+        let next = run_replay_stream(kernel, warmup, inputs, replay);
         assert_eq!(next.outputs, best.outputs, "non-deterministic outputs");
         assert_eq!(next.report, best.report, "non-deterministic report");
         if next.host_us < best.host_us {
@@ -60,6 +111,56 @@ fn best_of(repeats: usize, n: usize, windows: usize, replay: bool) -> ReplayMeas
         }
     }
     best
+}
+
+/// Measures one row (interpretation first, so the replay run cannot have
+/// warmed anything for it; each measurement uses its own fresh session
+/// anyway) and checks that the cache changed nothing but host time.
+fn measure<K, T>(
+    name: &'static str,
+    key_prefix: &'static str,
+    kernel: &K,
+    warmup: &K::Input,
+    inputs: &[T],
+) -> Row
+where
+    K: Kernel,
+    K::Output: PartialEq + Debug,
+    T: Borrow<K::Input>,
+{
+    let off = best_of(3, kernel, warmup, inputs, false);
+    let on = best_of(3, kernel, warmup, inputs, true);
+
+    // Correctness is non-negotiable: the cache may only change host time.
+    assert_eq!(
+        on.outputs, off.outputs,
+        "{name}: replay changed an output bit"
+    );
+    let mut on_report = on.report.clone();
+    let mut off_report = off.report.clone();
+    on_report.replayed = 0;
+    off_report.replayed = 0;
+    assert_eq!(
+        on_report, off_report,
+        "{name}: replay changed a modelled number (cycles, counters or launch mix)"
+    );
+    assert_eq!(
+        off.report.replayed, 0,
+        "{name}: disabled cache served a launch"
+    );
+
+    // Kernels launch more than once per window (per-column passes, FFT
+    // stages), so the hit rate is over array launches, not windows.
+    Row {
+        name,
+        key_prefix,
+        windows: inputs.len(),
+        modelled_cycles: on.report.cycles,
+        host_us_off: off.host_us,
+        host_us_on: on.host_us,
+        replayed: on.report.replayed,
+        launches: on.report.launches(),
+    }
 }
 
 fn main() {
@@ -72,91 +173,111 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 200 } else { 1000 });
 
-    println!("Warm-window replay: {windows} warm {N}-sample FIR windows through one Session");
+    println!(
+        "Warm-window replay: {windows} warm windows of the {N}-sample FIR and the \
+         {N}-point complex FFT, each through one Session"
+    );
     println!("(cache off = cycle-by-cycle interpretation; cache on = trace replay;");
-    println!(" both phases follow one unmeasured cold window that records the trace;");
+    println!(" both phases follow one unmeasured cold window that records the traces;");
     println!(" host times are the best of 3 repeats)");
     println!();
 
-    // Interpretation first, so the replay run cannot have warmed anything
-    // for it (each measurement uses its own fresh session anyway).
-    let off = best_of(3, N, windows, false);
-    let on = best_of(3, N, windows, true);
+    let (fir, fir_warmup, fir_inputs) = fir_replay_workload(N, windows);
+    let (fft, fft_warmup, fft_inputs) = fft_replay_workload(N, windows);
+    let rows = [
+        measure("fir-11", "", &fir, fir_warmup.as_slice(), &fir_inputs),
+        measure("fft-256", "fft_", &fft, &fft_warmup, &fft_inputs),
+    ];
 
-    // Correctness is non-negotiable: the cache may only change host time.
-    assert_eq!(on.outputs, off.outputs, "replay changed an output bit");
-    let mut on_report = on.report.clone();
-    let mut off_report = off.report.clone();
-    on_report.replayed = 0;
-    off_report.replayed = 0;
-    assert_eq!(
-        on_report, off_report,
-        "replay changed a modelled number (cycles, counters or launch mix)"
-    );
-    assert_eq!(off.report.replayed, 0, "disabled cache served a launch");
-
-    // The FIR kernel may launch more than once per window (per-column
-    // passes), so the hit rate is over array launches, not windows.
-    let launches = on.report.launches();
-    let hit_rate = on.report.replayed as f64 / launches as f64;
-    let speedup = off.host_us / on.host_us;
-    let modelled_us = cycles_to_us(on.report.cycles);
-
-    println!("  cache  modelled-us     host-us  us/window  hit-rate");
-    println!("  -----  -----------  ----------  ---------  --------");
-    for (tag, m, rate) in [("off", &off, 0.0), ("on", &on, hit_rate)] {
-        println!(
-            "  {:>5}  {:>11.1}  {:>10.1}  {:>9.3}  {:>7.1}%",
-            tag,
-            cycles_to_us(m.report.cycles),
-            m.host_us,
-            m.host_us / windows as f64,
-            100.0 * rate,
-        );
+    println!("  kernel   cache  modelled-us     host-us  us/window  hit-rate");
+    println!("  -------  -----  -----------  ----------  ---------  --------");
+    for row in &rows {
+        for (tag, host_us, rate) in [
+            ("off", row.host_us_off, 0.0),
+            ("on", row.host_us_on, row.hit_rate()),
+        ] {
+            println!(
+                "  {:<7}  {:>5}  {:>11.1}  {:>10.1}  {:>9.3}  {:>7.1}%",
+                row.name,
+                tag,
+                cycles_to_us(row.modelled_cycles),
+                host_us,
+                host_us / windows as f64,
+                100.0 * rate,
+            );
+        }
     }
     println!();
-    println!(
-        "Replay served {}/{} warm launches and cut host time {speedup:.1}x \
-         ({:.1} -> {:.1} us); outputs and modelled costs are bit-identical.",
-        on.report.replayed, launches, off.host_us, on.host_us,
-    );
+    for row in &rows {
+        println!(
+            "{}: replay served {}/{} warm launches and cut host time {:.1}x \
+             ({:.1} -> {:.1} us); outputs and modelled costs are bit-identical.",
+            row.name,
+            row.replayed,
+            row.launches,
+            row.speedup(),
+            row.host_us_off,
+            row.host_us_on,
+        );
+    }
 
     // Smoke runs gate but do not overwrite the checked-in full-run artifact.
     if !smoke {
-        let json = format!(
-            "{{\n  \"benchmark\": \"replay\",\n  \"n\": {N},\n  \"windows\": {windows},\n  \
-             \"modelled_cycles\": {},\n  \"modelled_us\": {modelled_us:.1},\n  \
-             \"host_us_replay_off\": {:.1},\n  \"host_us_replay_on\": {:.1},\n  \
-             \"host_us_per_window_on\": {:.3},\n  \"speedup\": {speedup:.2},\n  \
-             \"hit_rate\": {hit_rate:.4}\n}}\n",
-            on.report.cycles,
-            off.host_us,
-            on.host_us,
-            on.host_us / windows as f64,
-        );
+        let mut fields = vec![
+            "\"benchmark\": \"replay\"".to_string(),
+            format!("\"n\": {N}"),
+            format!("\"windows\": {windows}"),
+        ];
+        for row in &rows {
+            let p = row.key_prefix;
+            fields.extend([
+                format!("\"{p}modelled_cycles\": {}", row.modelled_cycles),
+                format!(
+                    "\"{p}modelled_us\": {:.1}",
+                    cycles_to_us(row.modelled_cycles)
+                ),
+                format!("\"{p}host_us_replay_off\": {:.1}", row.host_us_off),
+                format!("\"{p}host_us_replay_on\": {:.1}", row.host_us_on),
+                format!(
+                    "\"{p}host_us_per_window_on\": {:.3}",
+                    row.us_per_window_on()
+                ),
+                format!("\"{p}speedup\": {:.2}", row.speedup()),
+                format!("\"{p}hit_rate\": {:.4}", row.hit_rate()),
+            ]);
+        }
+        let json = format!("{{\n  {}\n}}\n", fields.join(",\n  "));
         std::fs::write("BENCH_replay.json", json).expect("write BENCH_replay.json");
         println!("Wrote BENCH_replay.json");
     }
 
-    if hit_rate < 1.0 {
-        eprintln!(
-            "FAIL: warm-stream hit rate {:.1}% < 100% ({}/{} launches replayed)",
-            100.0 * hit_rate,
-            on.report.replayed,
-            launches,
-        );
-        std::process::exit(1);
+    let mut failed = false;
+    for row in &rows {
+        if row.hit_rate() < 1.0 {
+            eprintln!(
+                "FAIL: {} warm-stream hit rate {:.1}% < 100% ({}/{} launches replayed)",
+                row.name,
+                100.0 * row.hit_rate(),
+                row.replayed,
+                row.launches,
+            );
+            failed = true;
+        }
+        if row.host_us_on >= row.host_us_off {
+            eprintln!(
+                "FAIL: {} replay-on host time {:.1} us does not beat replay-off {:.1} us",
+                row.name, row.host_us_on, row.host_us_off,
+            );
+            failed = true;
+        }
     }
-    if on.host_us >= off.host_us {
+    if !smoke && rows[0].speedup() < 10.0 {
         eprintln!(
-            "FAIL: replay-on host time {:.1} us does not beat replay-off {:.1} us",
-            on.host_us, off.host_us,
+            "FAIL: {} host speed-up {:.1}x below the 10x target",
+            rows[0].name,
+            rows[0].speedup()
         );
-        std::process::exit(1);
-    }
-    if !smoke && speedup < 10.0 {
-        eprintln!("FAIL: host speed-up {speedup:.1}x below the 10x target");
-        std::process::exit(1);
+        failed = true;
     }
 
     if let Some(path) = args
@@ -166,21 +287,38 @@ fn main() {
     {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("--baseline {path} is not readable: {e}"));
-        let per_window = extract_f64(&text, "host_us_per_window_on")
-            .expect("baseline artifact records host_us_per_window_on");
-        let measured = on.host_us / windows as f64;
-        let ceiling = per_window * HOST_REGRESSION_TOLERANCE;
         println!();
-        println!(
-            "Baseline {path}: {per_window:.3} us/window; measured {measured:.3} us/window \
-             (ceiling {ceiling:.3}, tolerance x{HOST_REGRESSION_TOLERANCE})",
-        );
-        if measured > ceiling {
-            eprintln!(
-                "FAIL: replay-on host time {measured:.3} us/window regressed past \
-                 {ceiling:.3} (baseline {per_window:.3} x{HOST_REGRESSION_TOLERANCE})",
+        for row in &rows {
+            let key = format!("{}host_us_per_window_on", row.key_prefix);
+            let Some(per_window) = extract_f64(&text, &key) else {
+                // Only the FIR row is mandatory: older artifacts predate
+                // the FFT row.
+                assert!(
+                    !row.key_prefix.is_empty(),
+                    "baseline artifact records host_us_per_window_on"
+                );
+                println!("Baseline {path}: no {key}; {} row not regressed", row.name);
+                continue;
+            };
+            let measured = row.us_per_window_on();
+            let ceiling = per_window * HOST_REGRESSION_TOLERANCE;
+            println!(
+                "Baseline {path} ({}): {per_window:.3} us/window; measured {measured:.3} \
+                 us/window (ceiling {ceiling:.3}, tolerance x{HOST_REGRESSION_TOLERANCE})",
+                row.name,
             );
-            std::process::exit(1);
+            if measured > ceiling {
+                eprintln!(
+                    "FAIL: {} replay-on host time {measured:.3} us/window regressed past \
+                     {ceiling:.3} (baseline {per_window:.3} x{HOST_REGRESSION_TOLERANCE})",
+                    row.name,
+                );
+                failed = true;
+            }
         }
+    }
+
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Borrow;
 use vwr2a_dsp::complex::Complex;
 use vwr2a_dsp::fixed::{to_q16, Q15};
 use vwr2a_energy::{cpu_energy, fft_accel_energy, EnergyBreakdown};
@@ -30,7 +31,7 @@ use vwr2a_fftaccel::FftAccelerator;
 use vwr2a_kernels::fft::{FftKernel, RealFftKernel};
 use vwr2a_kernels::fir::FirKernel;
 use vwr2a_kernels::Spectrum;
-use vwr2a_runtime::{RunReport, Session};
+use vwr2a_runtime::{Kernel, RunReport, Session};
 use vwr2a_soc::cpu::kernels as cpu_kernels;
 use vwr2a_soc::soc::BiosignalSoc;
 
@@ -256,49 +257,47 @@ pub fn time_host<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, start.elapsed().as_secs_f64() * 1e6)
 }
 
-/// One measured warm FIR stream for the replay benchmark: the aggregated
+/// One measured warm stream for the replay benchmark: the aggregated
 /// report and outputs of the measured phase, plus the host microseconds the
 /// phase took.
 #[derive(Debug, Clone)]
-pub struct ReplayMeasurement {
+pub struct ReplayMeasurement<O> {
     /// Aggregated report of the measured (all-warm) phase.
     pub report: RunReport,
     /// Outputs of every measured window, for bit-identity checks.
-    pub outputs: Vec<Vec<i32>>,
+    pub outputs: Vec<O>,
     /// Host wall-clock microseconds of the measured phase.
     pub host_us: f64,
 }
 
-/// Streams `windows` warm windows of the 11-tap FIR over `n` points through
-/// one [`Session`] with the warm-window replay cache on or off, and measures
-/// the host wall-clock of the warm phase.
+/// Streams `inputs` as warm windows of `kernel` through one [`Session`]
+/// with the warm-window replay cache on or off, and measures the host
+/// wall-clock of the warm phase.
 ///
-/// One unmeasured warm-up window first pays the cold configuration load
-/// (and, with `replay` on, records the trace), so the measured phase is the
-/// steady state the replay cache targets: every launch warm, every window's
-/// data different.
+/// One unmeasured `warmup` window first pays the cold configuration load
+/// (and, with `replay` on, records the traces), so the measured phase is
+/// the steady state the replay cache targets: every launch warm, every
+/// window's data different.
 ///
 /// # Panics
 ///
 /// Panics on simulator errors (harness bug).
-pub fn run_fir_replay_stream(n: usize, windows: usize, replay: bool) -> ReplayMeasurement {
-    let kernel = FirKernel::new(&lowpass_q15(11, 0.1), n).unwrap();
-    let signal = test_signal(n);
-    let inputs: Vec<Vec<i32>> = (0..windows)
-        .map(|w| {
-            signal
-                .iter()
-                .map(|&v| Q15::from_f64(v * (1.0 - 0.1 * (w % 7) as f64)).0 as i32)
-                .collect()
-        })
-        .collect();
+pub fn run_replay_stream<K, T>(
+    kernel: &K,
+    warmup: &K::Input,
+    inputs: &[T],
+    replay: bool,
+) -> ReplayMeasurement<K::Output>
+where
+    K: Kernel,
+    T: Borrow<K::Input>,
+{
     let mut session = Session::new();
     session.set_replay(replay);
-    let warmup: Vec<i32> = signal.iter().map(|&v| Q15::from_f64(v).0 as i32).collect();
-    session.run(&kernel, warmup.as_slice()).unwrap();
+    session.run(kernel, warmup).unwrap();
     let ((outputs, report), host_us) = time_host(|| {
         session
-            .run_batch(&kernel, inputs.iter().map(Vec::as_slice))
+            .run_batch(kernel, inputs.iter().map(Borrow::borrow))
             .unwrap()
     });
     ReplayMeasurement {
@@ -306,6 +305,52 @@ pub fn run_fir_replay_stream(n: usize, windows: usize, replay: bool) -> ReplayMe
         outputs,
         host_us,
     }
+}
+
+/// The replay benchmark's FIR row: the 11-tap low-pass over `n` points, a
+/// warm-up window and `windows` differently scaled Q15 windows.
+///
+/// # Panics
+///
+/// Panics if `n` is not a supported FIR length (harness bug).
+pub fn fir_replay_workload(n: usize, windows: usize) -> (FirKernel, Vec<i32>, Vec<Vec<i32>>) {
+    let kernel = FirKernel::new(&lowpass_q15(11, 0.1), n).unwrap();
+    let signal = test_signal(n);
+    let warmup = signal.iter().map(|&v| Q15::from_f64(v).0 as i32).collect();
+    let inputs = (0..windows)
+        .map(|w| {
+            signal
+                .iter()
+                .map(|&v| Q15::from_f64(v * (1.0 - 0.1 * (w % 7) as f64)).0 as i32)
+                .collect()
+        })
+        .collect();
+    (kernel, warmup, inputs)
+}
+
+/// The replay benchmark's FFT row: the complex `n`-point FFT, a warm-up
+/// window and `windows` differently scaled `Q15.16` complex windows.
+///
+/// # Panics
+///
+/// Panics if `n` is not a supported complex FFT size (harness bug).
+pub fn fft_replay_workload(n: usize, windows: usize) -> (FftKernel, Spectrum, Vec<Spectrum>) {
+    let kernel = FftKernel::new(n).unwrap();
+    let signal = test_signal(n);
+    let window = |scale: f64| {
+        Spectrum::new(
+            signal.iter().map(|&v| to_q16(v * scale)).collect(),
+            signal
+                .iter()
+                .rev()
+                .map(|&v| to_q16(0.5 * v * scale))
+                .collect(),
+        )
+    };
+    let inputs = (0..windows)
+        .map(|w| window(1.0 - 0.1 * (w % 7) as f64))
+        .collect();
+    (kernel, window(1.0), inputs)
 }
 
 /// A seeded SplitMix64 pseudo-random generator.

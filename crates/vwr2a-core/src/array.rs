@@ -507,9 +507,10 @@ impl Vwr2a {
         }
         let mut start = 0usize;
         for segment in &trace.segments {
-            let ops = &trace.ops[start..start + segment.len];
-            start += segment.len;
-            self.columns[segment.column].replay_segment(
+            let len = segment.len as usize;
+            let ops = &trace.ops[start..start + len];
+            start += len;
+            self.columns[segment.column as usize].replay_segment(
                 ops,
                 &mut self.spm,
                 &mut self.replay_scratch,
@@ -1033,6 +1034,52 @@ mod tests {
         accel.run_kernel(fresh).unwrap();
         accel.run_kernel_warm(fresh).unwrap();
         assert_eq!(accel.replays(), 1);
+    }
+
+    /// Stores SPM word 0 to word 1 only when it is non-zero: the branch
+    /// reads an SRF entry loaded from the SPM, so every recording poisons.
+    fn data_dependent_kernel() -> KernelProgram {
+        let g = Geometry::paper();
+        let mut b = ColumnProgramBuilder::new(g.rcs_per_column);
+        b.push(b.row().lsu(LsuInstr::LoadSrf {
+            srf: 0,
+            word: LsuAddr::Imm(0),
+        }));
+        b.push(b.row().lcu(LcuInstr::Li { r: 0, value: 0 }));
+        let skip = b.new_label();
+        b.push_branch(b.row(), LcuCond::Eq, 0, LcuSrc::Srf(0), skip);
+        b.push(b.row().lsu(LsuInstr::StoreSrf {
+            srf: 0,
+            word: LsuAddr::Imm(1),
+        }));
+        b.bind_label(skip);
+        b.push_exit();
+        KernelProgram::new("data-branch", vec![b.build().unwrap()]).unwrap()
+    }
+
+    #[test]
+    fn data_dependent_branches_interpret_and_match() {
+        let kernel = data_dependent_kernel();
+        let mut replay = Vwr2a::new();
+        let mut interp = Vwr2a::new();
+        interp.set_replay_enabled(false);
+        let id_r = replay.load_kernel(&kernel).unwrap();
+        let id_i = interp.load_kernel(&kernel).unwrap();
+        for window in 0..8 {
+            let input = [window % 3, -1];
+            for (accel, id) in [(&mut replay, id_r), (&mut interp, id_i)] {
+                accel.dma_to_spm(&input, 0).unwrap();
+                accel.run_kernel_warm(id).unwrap();
+            }
+            assert_eq!(
+                replay.dma_from_spm(0, 2).unwrap(),
+                interp.dma_from_spm(0, 2).unwrap(),
+                "window {window}"
+            );
+        }
+        assert_eq!(replay.counters(), interp.counters());
+        assert_eq!(replay.replays(), 0);
+        assert!(replay.config_mem().traces(id_r).is_empty());
     }
 
     #[test]

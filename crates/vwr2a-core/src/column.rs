@@ -27,23 +27,53 @@ use serde::{Deserialize, Serialize};
 
 /// Resolves an RC operand source into its replay form: all multiplexing
 /// (slice offset, MXCU index, neighbour selection) is folded in so the
-/// replayed op only performs the data read.
-fn replay_src(src: RcSrc, i: usize, slice_words: usize, k: usize, num_rcs: usize) -> ReplaySrc {
+/// replayed op only performs the data read.  The recorder narrows the
+/// indices (poisoning on overflow).
+fn replay_src(
+    src: RcSrc,
+    i: usize,
+    slice_words: usize,
+    k: usize,
+    num_rcs: usize,
+    rec: &mut TraceRecorder,
+) -> ReplaySrc {
     match src {
         RcSrc::Zero => ReplaySrc::Const(0),
         RcSrc::Imm(v) => ReplaySrc::Const(v as i32),
         RcSrc::Reg(r) => ReplaySrc::Reg {
-            rc: i,
-            reg: r as usize,
+            rc: rec.narrow(i),
+            reg: r,
         },
         RcSrc::Vwr(v) => ReplaySrc::VwrWord {
-            vwr: v.index(),
-            word: i * slice_words + k,
+            vwr: rec.narrow(v.index()),
+            word: rec.narrow(i * slice_words + k),
         },
-        RcSrc::Srf(s) => ReplaySrc::Srf(s as usize),
-        RcSrc::RcAbove => ReplaySrc::Prev((i + num_rcs - 1) % num_rcs),
-        RcSrc::RcBelow => ReplaySrc::Prev((i + 1) % num_rcs),
-        RcSrc::SelfPrev => ReplaySrc::Prev(i),
+        RcSrc::Srf(s) => ReplaySrc::Srf(s),
+        RcSrc::RcAbove => ReplaySrc::Prev(rec.narrow((i + num_rcs - 1) % num_rcs)),
+        RcSrc::RcBelow => ReplaySrc::Prev(rec.narrow((i + 1) % num_rcs)),
+        RcSrc::SelfPrev => ReplaySrc::Prev(rec.narrow(i)),
+    }
+}
+
+/// Resolves an RC destination into its replay form (see [`replay_src`]).
+fn replay_dst(
+    dst: RcDst,
+    i: usize,
+    slice_words: usize,
+    k: usize,
+    rec: &mut TraceRecorder,
+) -> ReplayDst {
+    match dst {
+        RcDst::None => ReplayDst::None,
+        RcDst::Reg(r) => ReplayDst::Reg {
+            rc: rec.narrow(i),
+            reg: r,
+        },
+        RcDst::Vwr(v) => ReplayDst::VwrWord {
+            vwr: rec.narrow(v.index()),
+            word: rec.narrow(i * slice_words + k),
+        },
+        RcDst::Srf(s) => ReplayDst::Srf(s),
     }
 }
 
@@ -278,7 +308,8 @@ impl Column {
         let mut rc_reg_writes: Vec<(usize, usize, i32)> = Vec::new();
         let mut vwr_word_writes: Vec<(usize, usize, i32)> = Vec::new();
         let mut vwr_line_writes: Vec<(usize, Vec<i32>)> = Vec::new();
-        let mut srf_writes: Vec<(usize, i32)> = Vec::new();
+        // SRF writes carry their taint (see `TraceRecorder::note_srf_write`).
+        let mut srf_writes: Vec<(usize, i32, bool)> = Vec::new();
         let mut new_results = prev_results.clone();
         let mut new_mxcu_idx = self.mxcu_idx;
         let mut new_lcu_regs = self.lcu_regs;
@@ -332,38 +363,30 @@ impl Column {
                 counters.rc_multiplies += 1;
             }
             new_results[i] = result;
-            let replay_dst = match instr.dst {
-                RcDst::None => ReplayDst::None,
+            match instr.dst {
+                RcDst::None => {}
                 RcDst::Reg(r) => {
                     counters.rc_reg_writes += 1;
                     rc_reg_writes.push((i, r as usize, result));
-                    ReplayDst::Reg {
-                        rc: i,
-                        reg: r as usize,
-                    }
                 }
                 RcDst::Vwr(v) => {
                     counters.vwr_word_writes += 1;
                     vwr_word_writes.push((v.index(), i * slice_words + k, result));
-                    ReplayDst::VwrWord {
-                        vwr: v.index(),
-                        word: i * slice_words + k,
-                    }
                 }
                 RcDst::Srf(s) => {
                     counters.srf_writes += 1;
-                    srf_writes.push((s as usize, result));
-                    ReplayDst::Srf(s as usize)
+                    srf_writes.push((s as usize, result, true));
                 }
-            };
+            }
             if let Some(r) = rec.as_deref_mut() {
-                r.push_op(ReplayOp::Rc {
-                    rc: i,
+                let op = ReplayOp::Rc {
+                    rc: r.narrow(i),
                     op: instr.op,
-                    a: replay_src(instr.src_a, i, slice_words, k, num_rcs),
-                    b: replay_src(instr.src_b, i, slice_words, k, num_rcs),
-                    dst: replay_dst,
-                });
+                    a: replay_src(instr.src_a, i, slice_words, k, num_rcs, r),
+                    b: replay_src(instr.src_b, i, slice_words, k, num_rcs, r),
+                    dst: replay_dst(instr.dst, i, slice_words, k, r),
+                };
+                r.push_op(op);
             }
         }
 
@@ -379,10 +402,11 @@ impl Column {
                 counters.vwr_line_transfers += 1;
                 vwr_line_writes.push((vwr.index(), data));
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::LoadVwrLine {
-                        vwr: vwr.index(),
-                        line: addr,
-                    });
+                    let op = ReplayOp::LoadVwrLine {
+                        vwr: r.narrow(vwr.index()),
+                        line: r.narrow(addr),
+                    };
+                    r.push_op(op);
                 }
             }
             LsuInstr::StoreVwr { vwr, line } => {
@@ -399,10 +423,11 @@ impl Column {
                 counters.spm_line_writes += 1;
                 counters.vwr_line_transfers += 1;
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::StoreVwrLine {
-                        vwr: vwr.index(),
-                        line: addr,
-                    });
+                    let op = ReplayOp::StoreVwrLine {
+                        vwr: r.narrow(vwr.index()),
+                        line: r.narrow(addr),
+                    };
+                    r.push_op(op);
                 }
             }
             LsuInstr::LoadSrf { srf, word } => {
@@ -410,12 +435,13 @@ impl Column {
                 let value = spm.read_word(addr)?;
                 counters.spm_word_reads += 1;
                 counters.srf_writes += 1;
-                srf_writes.push((srf as usize, value));
+                srf_writes.push((srf as usize, value, true));
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::LoadSrfWord {
-                        srf: srf as usize,
-                        word: addr,
-                    });
+                    let op = ReplayOp::LoadSrfWord {
+                        srf,
+                        word: r.narrow(addr),
+                    };
+                    r.push_op(op);
                 }
             }
             LsuInstr::StoreSrf { srf, word } => {
@@ -425,23 +451,31 @@ impl Column {
                 spm.write_word(addr, value)?;
                 counters.spm_word_writes += 1;
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::StoreSrfWord {
-                        srf: srf as usize,
-                        word: addr,
-                    });
+                    let op = ReplayOp::StoreSrfWord {
+                        srf,
+                        word: r.narrow(addr),
+                    };
+                    r.push_op(op);
                 }
             }
             LsuInstr::AddSrf { srf, imm } => {
                 counters.srf_reads += 1;
                 counters.srf_writes += 1;
-                let value = self.srf.read(srf as usize)?.wrapping_add(imm as i32);
-                srf_writes.push((srf as usize, value));
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::AddSrf {
-                        srf: srf as usize,
-                        imm: imm as i32,
-                    });
-                }
+                let base = self.srf.read(srf as usize)?;
+                // The sum is as pure as its base: a pointer bump of a
+                // guarded or schedule-determined entry stays usable for
+                // addressing without poisoning the trace.
+                let tainted = match rec.as_deref_mut() {
+                    Some(r) => {
+                        r.push_op(ReplayOp::AddSrf {
+                            srf,
+                            imm: imm as i32,
+                        });
+                        r.add_srf(srf as usize, base)
+                    }
+                    None => true,
+                };
+                srf_writes.push((srf as usize, base.wrapping_add(imm as i32), tainted));
             }
             LsuInstr::Shuffle(op) => {
                 let a = self.vwrs[VwrId::A.index()].words();
@@ -486,12 +520,12 @@ impl Column {
             }
             MxcuInstr::StoreIdxSrf(s) => {
                 counters.srf_writes += 1;
-                srf_writes.push((s as usize, self.mxcu_idx as i32));
-                // The index value is schedule-determined, so the write
-                // replays as a constant store.
+                // The index value is schedule-determined, so the write is
+                // pure and replays as a constant store.
+                srf_writes.push((s as usize, self.mxcu_idx as i32, false));
                 if let Some(r) = rec.as_deref_mut() {
                     r.push_op(ReplayOp::WriteSrfConst {
-                        srf: s as usize,
+                        srf: s,
                         value: self.mxcu_idx as i32,
                     });
                 }
@@ -553,8 +587,8 @@ impl Column {
                 });
             }
         }
-        for (idx, (s, _)) in srf_writes.iter().enumerate() {
-            if srf_writes[idx + 1..].iter().any(|(s2, _)| s2 == s) {
+        for (idx, (s, _, _)) in srf_writes.iter().enumerate() {
+            if srf_writes[idx + 1..].iter().any(|(s2, _, _)| s2 == s) {
                 return Err(CoreError::WriteConflict {
                     cycle,
                     resource: format!("SRF register {s}"),
@@ -576,13 +610,13 @@ impl Column {
         for (vwr, line) in vwr_line_writes {
             self.vwrs[vwr].load_line(&line)?;
         }
-        for (srf, value) in srf_writes {
+        for (srf, value, tainted) in srf_writes {
             self.srf.write(srf, value)?;
             // Mark the entry as execution-written: a later control or
-            // addressing read of it would make the schedule data-dependent
-            // and must poison the trace.
+            // addressing read of a tainted (data-derived) value would make
+            // the schedule data-dependent and must poison the trace.
             if let Some(r) = rec.as_deref_mut() {
-                r.note_srf_write(srf);
+                r.note_srf_write(srf, tainted);
             }
         }
         for (rc, result) in self.rcs.iter_mut().zip(new_results) {
@@ -628,10 +662,10 @@ impl Column {
     fn replay_read(&self, src: ReplaySrc) -> Result<i32> {
         Ok(match src {
             ReplaySrc::Const(v) => v,
-            ReplaySrc::Reg { rc, reg } => self.rcs[rc].regs[reg],
-            ReplaySrc::VwrWord { vwr, word } => self.vwrs[vwr].read_word(word)?,
-            ReplaySrc::Srf(s) => self.srf.read(s)?,
-            ReplaySrc::Prev(rc) => self.rcs[rc].prev_result,
+            ReplaySrc::Reg { rc, reg } => self.rcs[rc as usize].regs[reg as usize],
+            ReplaySrc::VwrWord { vwr, word } => self.vwrs[vwr as usize].read_word(word as usize)?,
+            ReplaySrc::Srf(s) => self.srf.read(s as usize)?,
+            ReplaySrc::Prev(rc) => self.rcs[rc as usize].prev_result,
         })
     }
 
@@ -651,37 +685,44 @@ impl Column {
                     let av = self.replay_read(a)?;
                     let bv = self.replay_read(b)?;
                     let result = alu::execute(op, av, bv);
-                    scratch.prev.push((rc, result));
+                    scratch.prev.push((rc as usize, result));
                     match dst {
                         ReplayDst::None => {}
-                        ReplayDst::Reg { rc, reg } => scratch.rc_reg.push((rc, reg, result)),
-                        ReplayDst::VwrWord { vwr, word } => {
-                            scratch.vwr_word.push((vwr, word, result))
+                        ReplayDst::Reg { rc, reg } => {
+                            scratch.rc_reg.push((rc as usize, reg as usize, result))
                         }
-                        ReplayDst::Srf(s) => scratch.srf.push((s, result)),
+                        ReplayDst::VwrWord { vwr, word } => {
+                            scratch.vwr_word.push((vwr as usize, word as usize, result))
+                        }
+                        ReplayDst::Srf(s) => scratch.srf.push((s as usize, result)),
                     }
                 }
                 ReplayOp::LoadVwrLine { vwr, line } => {
                     scratch.line_buf.clear();
-                    scratch.line_buf.extend_from_slice(spm.read_line(line)?);
-                    scratch.line_target = Some(vwr);
+                    scratch
+                        .line_buf
+                        .extend_from_slice(spm.read_line(line as usize)?);
+                    scratch.line_target = Some(vwr as usize);
                 }
                 ReplayOp::StoreVwrLine { vwr, line } => {
-                    spm.write_line(line, self.vwrs[vwr].words())?;
+                    spm.write_line(line as usize, self.vwrs[vwr as usize].words())?;
                 }
                 ReplayOp::LoadSrfWord { srf, word } => {
-                    scratch.srf.push((srf, spm.read_word(word)?));
+                    scratch
+                        .srf
+                        .push((srf as usize, spm.read_word(word as usize)?));
                 }
                 ReplayOp::StoreSrfWord { srf, word } => {
-                    spm.write_word(word, self.srf.read(srf)?)?;
+                    spm.write_word(word as usize, self.srf.read(srf as usize)?)?;
                 }
                 ReplayOp::AddSrf { srf, imm } => {
+                    let srf = srf as usize;
                     scratch
                         .srf
                         .push((srf, self.srf.read(srf)?.wrapping_add(imm)));
                 }
                 ReplayOp::WriteSrfConst { srf, value } => {
-                    scratch.srf.push((srf, value));
+                    scratch.srf.push((srf as usize, value));
                 }
                 ReplayOp::Shuffle { op } => {
                     let out = shuffle::apply(

@@ -25,20 +25,40 @@
 //! results, SPM/VWR/SRF contents all flow through the live architectural
 //! state at replay time, so replayed outputs are bit-identical to
 //! interpretation even though every window carries different samples.
-//! Baking the schedule is sound only if control flow and addressing are
-//! reproducible.  Two mechanisms enforce that:
+//! Baking the schedule is sound only if control flow and addressing are a
+//! pure function of the *trace key* — the stored program plus the guarded
+//! SRF values.  The recorder enforces that by tracking, per column, which
+//! SRF entries the execution has written and whether each written value is
+//! *tainted* (derived from data):
 //!
-//! * **SRF guards**: every SRF entry consumed for control or addressing
-//!   (an LSU address, a loop bound, an MXCU index load) while still
-//!   *pristine* — unwritten so far in the execution — becomes a guard
-//!   `(column, index, value)`.  A trace replays only if every guard still
-//!   matches the live SRF at launch; a host parameter write that changes a
-//!   guarded entry simply misses the cache and re-records.  This is the
-//!   SRF-write tracking that invalidates keys whose parameters changed.
-//! * **Poisoning**: if control or addressing ever consumes an SRF entry
-//!   the execution itself has already written (data-dependent control
-//!   flow), the trace is poisoned and discarded — such launches always
-//!   fall back to interpretation.
+//! * **Pristine entries are guarded**: every SRF entry consumed for control
+//!   or addressing (an LSU address, a loop bound, an MXCU index load) while
+//!   still unwritten by the execution becomes a guard `(column, index,
+//!   value)`.  A trace replays only if every guard still matches the live
+//!   SRF at launch; a host parameter write that changes a guarded entry
+//!   simply misses the cache and re-records.
+//! * **Pure writes need nothing**: a `StoreIdxSrf` (the MXCU index is
+//!   schedule-determined; it replays as [`ReplayOp::WriteSrfConst`]) and an
+//!   `AddSrf` of an untainted entry write values that are functions of the
+//!   key, so later control or addressing reads of them add no guard and do
+//!   not poison.  An `AddSrf` of a still-pristine entry guards that entry,
+//!   which is what makes a pointer bump — the FFT stage's output pointer —
+//!   pure.
+//! * **Tainted writes poison**: values loaded from the SPM (`LoadSrf`) or
+//!   written by an RC (`RcDst::Srf`) are data, as is an `AddSrf` of such a
+//!   value.  If control or addressing consumes a tainted entry, the trace
+//!   is poisoned and discarded — such launches always fall back to
+//!   interpretation.  A pure write over a tainted entry clears the taint.
+//!
+//! # Compact encoding
+//!
+//! Warm traces stay resident for as long as their kernel does, so the op
+//! encoding is narrow: RC, register, VWR and SRF indices are `u8`, VWR
+//! word indices `u16`, SPM addresses and segment lengths `u32`, which
+//! keeps a [`ReplayOp`] at 24 bytes and a [`ReplaySegment`] at 8.  The
+//! recorder does the narrowing; an index that does not fit poisons the
+//! recording rather than being truncated, and the replay executor widens
+//! the indices back.
 //!
 //! Traces hang off the configuration-memory slot that owns the kernel
 //! ([`crate::config_mem::ConfigMemory`]), so the generational store/
@@ -62,6 +82,9 @@ const MAX_TRACKED_SRF: usize = 64;
 /// A resolved operand source of a replayed RC operation.  All multiplexing
 /// (MXCU index, slice offsets, neighbour selection) happened at record
 /// time; values are read from the live state at replay time.
+///
+/// Indices are stored narrow (see the module docs on the compact
+/// encoding); the replay executor widens them back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplaySrc {
     /// An immediate (or the hard-wired zero input).
@@ -69,22 +92,22 @@ pub enum ReplaySrc {
     /// An RC-local register.
     Reg {
         /// RC index within the column.
-        rc: usize,
+        rc: u8,
         /// Register index within the RC.
-        reg: usize,
+        reg: u8,
     },
     /// A VWR word, index fully resolved.
     VwrWord {
         /// VWR index.
-        vwr: usize,
+        vwr: u8,
         /// Word index within the VWR.
-        word: usize,
+        word: u16,
     },
     /// An SRF entry (data read — not a guard).
-    Srf(usize),
+    Srf(u8),
     /// The previous-cycle result latch of an RC (self or neighbour,
     /// already resolved to an absolute RC index).
-    Prev(usize),
+    Prev(u8),
 }
 
 /// A resolved destination of a replayed RC operation.
@@ -95,19 +118,19 @@ pub enum ReplayDst {
     /// An RC-local register.
     Reg {
         /// RC index within the column.
-        rc: usize,
+        rc: u8,
         /// Register index within the RC.
-        reg: usize,
+        reg: u8,
     },
     /// A VWR word, index fully resolved.
     VwrWord {
         /// VWR index.
-        vwr: usize,
+        vwr: u8,
         /// Word index within the VWR.
-        word: usize,
+        word: u16,
     },
     /// An SRF entry.
-    Srf(usize),
+    Srf(u8),
 }
 
 /// One resolved operation of a recorded schedule.  Addresses and indices
@@ -117,7 +140,7 @@ pub enum ReplayOp {
     /// An RC ALU operation with resolved operands.
     Rc {
         /// RC index within the column (for the previous-result latch).
-        rc: usize,
+        rc: u8,
         /// The ALU opcode.
         op: RcOpcode,
         /// Resolved first operand.
@@ -130,35 +153,35 @@ pub enum ReplayOp {
     /// LSU: fill a VWR from an SPM line (commits at segment end).
     LoadVwrLine {
         /// Destination VWR index.
-        vwr: usize,
+        vwr: u8,
         /// Resolved SPM line address.
-        line: usize,
+        line: u32,
     },
     /// LSU: store a VWR to an SPM line (immediate, mid-segment).
     StoreVwrLine {
         /// Source VWR index.
-        vwr: usize,
+        vwr: u8,
         /// Resolved SPM line address.
-        line: usize,
+        line: u32,
     },
     /// LSU: load an SPM word into an SRF entry (commits at segment end).
     LoadSrfWord {
         /// Destination SRF entry.
-        srf: usize,
+        srf: u8,
         /// Resolved SPM word address.
-        word: usize,
+        word: u32,
     },
     /// LSU: store an SRF entry to an SPM word (immediate, mid-segment).
     StoreSrfWord {
         /// Source SRF entry.
-        srf: usize,
+        srf: u8,
         /// Resolved SPM word address.
-        word: usize,
+        word: u32,
     },
     /// LSU: add an immediate to an SRF entry (commits at segment end).
     AddSrf {
         /// SRF entry.
-        srf: usize,
+        srf: u8,
         /// Immediate addend.
         imm: i32,
     },
@@ -171,7 +194,7 @@ pub enum ReplayOp {
     /// value was resolved at record time; commits at segment end).
     WriteSrfConst {
         /// Destination SRF entry.
-        srf: usize,
+        srf: u8,
         /// The resolved value.
         value: i32,
     },
@@ -196,9 +219,9 @@ pub struct SrfGuard {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplaySegment {
     /// Column the segment executes on.
-    pub column: usize,
+    pub column: u16,
     /// Number of ops in the segment.
-    pub len: usize,
+    pub len: u32,
 }
 
 /// End-of-run control state of one column, restored verbatim after a
@@ -254,16 +277,21 @@ impl ReplayTrace {
 ///
 /// The recorder is driven by the interpreter: the array begins a segment
 /// per (cycle, column), the column pushes resolved ops and guard
-/// observations as it executes, and the commit phase reports SRF writes so
-/// later guard observations of the same entry poison the trace (see the
-/// module docs).  [`TraceRecorder::finish`] yields the trace, or `None`
-/// if the execution turned out to be non-replayable.
+/// observations as it executes, and the commit phase reports each SRF
+/// write with its taint, so later guard observations of a tainted entry
+/// poison the trace (see the module docs).  [`TraceRecorder::finish`]
+/// yields the trace, or `None` if the execution turned out to be
+/// non-replayable.
 #[derive(Debug)]
 pub struct TraceRecorder {
     poisoned: bool,
     guards: Vec<SrfGuard>,
-    /// Per-column bitmask of SRF entries written so far by the execution.
+    /// Per-column bitmask of SRF entries written so far by the execution
+    /// (an unwritten entry is *pristine*).
     written: Vec<u64>,
+    /// Per-column bitmask of written SRF entries whose current value came
+    /// from data (SPM or an RC result), not from the trace key.
+    tainted: Vec<u64>,
     segments: Vec<ReplaySegment>,
     ops: Vec<ReplayOp>,
     /// Column of the currently open segment.
@@ -281,6 +309,7 @@ impl TraceRecorder {
             poisoned: false,
             guards: Vec::new(),
             written: vec![0; columns_used],
+            tainted: vec![0; columns_used],
             segments: Vec::new(),
             ops: Vec::new(),
             cur_column: 0,
@@ -294,12 +323,21 @@ impl TraceRecorder {
         self.poisoned
     }
 
+    /// Narrows an index for the compact op encoding.  An index that does
+    /// not fit poisons the recording (the launch keeps interpreting)
+    /// rather than being truncated into a wrong address.
+    pub(crate) fn narrow<T: TryFrom<usize> + Default>(&mut self, value: usize) -> T {
+        T::try_from(value).unwrap_or_else(|_| {
+            self.poisoned = true;
+            T::default()
+        })
+    }
+
     fn close_segment(&mut self) {
         if self.seg_open && self.ops.len() > self.seg_start {
-            self.segments.push(ReplaySegment {
-                column: self.cur_column,
-                len: self.ops.len() - self.seg_start,
-            });
+            let column = self.narrow(self.cur_column);
+            let len = self.narrow(self.ops.len() - self.seg_start);
+            self.segments.push(ReplaySegment { column, len });
         }
         self.seg_open = false;
     }
@@ -321,16 +359,33 @@ impl TraceRecorder {
         }
     }
 
+    /// The tracking bit of SRF entry `index`, or `None` (after poisoning)
+    /// for an entry beyond [`MAX_TRACKED_SRF`].
+    fn srf_bit(&mut self, index: usize) -> Option<u64> {
+        if index >= MAX_TRACKED_SRF {
+            self.poisoned = true;
+            return None;
+        }
+        Some(1u64 << index)
+    }
+
     /// Observes an SRF entry consumed for control or addressing in the
-    /// current column.  Pristine entries become guards; entries the
-    /// execution already wrote poison the trace.
+    /// current column.  Pristine entries become guards, entries holding a
+    /// pure (key-determined) value need nothing, and tainted entries
+    /// poison the trace.
     pub(crate) fn guard_srf(&mut self, index: usize, value: i32) {
         if self.poisoned {
             return;
         }
         let column = self.cur_column;
-        if index >= MAX_TRACKED_SRF || self.written[column] & (1u64 << index) != 0 {
+        let Some(bit) = self.srf_bit(index) else {
+            return;
+        };
+        if self.tainted[column] & bit != 0 {
             self.poisoned = true;
+            return;
+        }
+        if self.written[column] & bit != 0 {
             return;
         }
         if !self
@@ -346,15 +401,36 @@ impl TraceRecorder {
         }
     }
 
-    /// Reports the SRF entries the current column's commit phase wrote
-    /// this cycle (kernel-side writes only — host parameter writes happen
-    /// between executions and are covered by the guard check instead).
-    pub(crate) fn note_srf_write(&mut self, index: usize) {
-        if index >= MAX_TRACKED_SRF {
-            self.poisoned = true;
-            return;
+    /// Observes the source entry of an `AddSrf` (holding `value`) in the
+    /// current column and returns whether the sum is tainted.  A pristine
+    /// source is guarded, so the sum is a pure function of the trace key.
+    pub(crate) fn add_srf(&mut self, index: usize, value: i32) -> bool {
+        if self
+            .srf_bit(index)
+            .is_some_and(|bit| self.tainted[self.cur_column] & bit != 0)
+        {
+            return true;
         }
-        self.written[self.cur_column] |= 1u64 << index;
+        self.guard_srf(index, value);
+        false
+    }
+
+    /// Reports an SRF entry the current column's commit phase wrote this
+    /// cycle (kernel-side writes only — host parameter writes happen
+    /// between executions and are covered by the guard check instead).
+    /// `tainted` marks a value derived from data (an SPM load or an RC
+    /// result); a pure write clears the entry's taint.
+    pub(crate) fn note_srf_write(&mut self, index: usize, tainted: bool) {
+        let Some(bit) = self.srf_bit(index) else {
+            return;
+        };
+        let column = self.cur_column;
+        self.written[column] |= bit;
+        if tainted {
+            self.tainted[column] |= bit;
+        } else {
+            self.tainted[column] &= !bit;
+        }
     }
 
     /// Seals the recording into a trace, or `None` if it was poisoned.
@@ -410,19 +486,189 @@ pub(crate) struct ReplayScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::ColumnProgramBuilder;
+    use crate::column::Column;
+    use crate::geometry::{Geometry, VwrId};
+    use crate::isa::lsu::{LsuAddr, LsuInstr};
+    use crate::isa::mxcu::MxcuInstr;
+    use crate::isa::rc::{RcDst, RcInstr, RcSrc};
+    use crate::program::Row;
+    use crate::spm::Spm;
+
+    fn finish(rec: TraceRecorder) -> Option<ReplayTrace> {
+        rec.finish("k".into(), 1, ActivityCounters::new(), Vec::new())
+    }
+
+    /// Records one single-column execution of `rows` (an `EXIT` row is
+    /// appended) with SRF[6] = 4 and SRF[7] = 6 written by the host.
+    fn record(rows: &[Row]) -> Option<ReplayTrace> {
+        let g = Geometry::paper();
+        let mut b = ColumnProgramBuilder::new(g.rcs_per_column);
+        for row in rows {
+            b.push(row.clone());
+        }
+        b.push_exit();
+        let program = b.build().unwrap();
+        let mut column = Column::new(g);
+        column.srf_mut().write(6, 4).unwrap();
+        column.srf_mut().write(7, 6).unwrap();
+        let mut spm = Spm::new(g.spm_words(), g.vwr_words);
+        let mut counters = ActivityCounters::new();
+        let mut rec = TraceRecorder::new(1);
+        let mut cycle = 0;
+        loop {
+            cycle += 1;
+            rec.begin_segment(0);
+            let running = column
+                .step_traced(&program, &mut spm, &mut counters, cycle, Some(&mut rec))
+                .unwrap();
+            if !running {
+                break;
+            }
+        }
+        finish(rec)
+    }
+
+    fn row() -> Row {
+        Row::new(Geometry::paper().rcs_per_column)
+    }
+
+    fn store_c(srf: u8) -> Row {
+        row().lsu(LsuInstr::StoreVwr {
+            vwr: VwrId::C,
+            line: LsuAddr::Srf(srf),
+        })
+    }
+
+    fn load_a(srf: u8) -> Row {
+        row().lsu(LsuInstr::LoadVwr {
+            vwr: VwrId::A,
+            line: LsuAddr::Srf(srf),
+        })
+    }
+
+    fn add_srf(srf: u8, imm: i16) -> Row {
+        row().lsu(LsuInstr::AddSrf { srf, imm })
+    }
 
     #[test]
-    fn guard_of_written_entry_poisons() {
+    fn add_srf_chain_on_a_pristine_entry_guards_the_base_and_stays_pure() {
+        let trace = record(&[
+            store_c(7),
+            add_srf(7, 1),
+            store_c(7),
+            add_srf(7, 1),
+            store_c(7),
+        ])
+        .expect("a pointer bump of a guarded entry replays");
+        assert_eq!(
+            trace.guards,
+            vec![SrfGuard {
+                column: 0,
+                index: 7,
+                value: 6,
+            }]
+        );
+        let lines: Vec<u32> = trace
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                ReplayOp::StoreVwrLine { line, .. } => Some(line),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lines, [6, 7, 8]);
+    }
+
+    #[test]
+    fn add_srf_guards_its_pristine_base_even_before_any_address_use() {
+        let trace = record(&[add_srf(6, 2), store_c(6)]).expect("pure");
+        assert_eq!(trace.guards.len(), 1);
+        assert_eq!((trace.guards[0].index, trace.guards[0].value), (6, 4));
+    }
+
+    #[test]
+    fn data_loaded_srf_entries_poison_address_use() {
+        let load = row().lsu(LsuInstr::LoadSrf {
+            srf: 6,
+            word: LsuAddr::Imm(0),
+        });
+        assert!(record(&[load.clone(), load_a(6)]).is_none());
+        // A bump of a tainted entry stays tainted.
+        assert!(record(&[load.clone(), add_srf(6, 1), load_a(6)]).is_none());
+        // A tainted entry used only as data does not poison.
+        assert!(record(&[load]).is_some());
+    }
+
+    #[test]
+    fn rc_results_written_to_the_srf_poison_address_use() {
+        let rc = row().rc(0, RcInstr::mov(RcDst::Srf(7), RcSrc::Imm(1)));
+        assert!(record(&[rc, store_c(7)]).is_none());
+    }
+
+    #[test]
+    fn store_idx_srf_is_a_pure_write() {
+        let trace = record(&[
+            row().mxcu(MxcuInstr::SetIdx(3)),
+            row().mxcu(MxcuInstr::StoreIdxSrf(6)),
+            load_a(6),
+        ])
+        .expect("a schedule-determined SRF value replays");
+        assert!(trace.guards.is_empty(), "a pure entry needs no guard");
+        assert!(trace
+            .ops
+            .contains(&ReplayOp::WriteSrfConst { srf: 6, value: 3 }));
+        // A pure write also clears an earlier taint.
+        let rc = row().rc(0, RcInstr::mov(RcDst::Srf(6), RcSrc::Imm(1)));
+        let trace = record(&[rc, row().mxcu(MxcuInstr::StoreIdxSrf(6)), load_a(6)]);
+        assert!(trace.is_some());
+    }
+
+    #[test]
+    fn tainted_writes_poison_the_next_guard() {
         let mut rec = TraceRecorder::new(1);
         rec.begin_segment(0);
         rec.guard_srf(2, 7);
         assert!(!rec.poisoned());
-        rec.note_srf_write(3);
+        rec.note_srf_write(3, true);
         rec.guard_srf(3, 9);
         assert!(rec.poisoned());
-        assert!(rec
-            .finish("k".into(), 1, ActivityCounters::new(), Vec::new())
-            .is_none());
+        assert!(finish(rec).is_none());
+    }
+
+    #[test]
+    fn guard_reads_of_pure_entries_add_no_guard() {
+        let mut rec = TraceRecorder::new(1);
+        rec.begin_segment(0);
+        rec.note_srf_write(3, false);
+        rec.guard_srf(3, 9);
+        assert!(!rec.add_srf(3, 9), "a bump of a pure entry is pure");
+        let trace = finish(rec).expect("not poisoned");
+        assert!(trace.guards.is_empty());
+    }
+
+    #[test]
+    fn oversized_indices_poison_instead_of_truncating() {
+        let mut rec = TraceRecorder::new(1);
+        rec.begin_segment(0);
+        let word: u16 = rec.narrow(u16::MAX as usize);
+        assert_eq!(word, u16::MAX);
+        assert!(!rec.poisoned());
+        let vwr: u8 = rec.narrow(256);
+        assert_eq!(vwr, 0);
+        assert!(rec.poisoned());
+        assert!(finish(rec).is_none());
+        // Entries beyond the tracked range poison too.
+        let mut rec = TraceRecorder::new(1);
+        rec.begin_segment(0);
+        rec.note_srf_write(MAX_TRACKED_SRF, false);
+        assert!(rec.poisoned());
+    }
+
+    #[test]
+    fn replay_encoding_stays_compact() {
+        assert!(std::mem::size_of::<ReplayOp>() <= 24);
+        assert!(std::mem::size_of::<ReplaySegment>() <= 8);
     }
 
     #[test]
@@ -433,9 +679,7 @@ mod tests {
         rec.guard_srf(1, 5);
         rec.begin_segment(1);
         rec.guard_srf(1, 6);
-        let trace = rec
-            .finish("k".into(), 3, ActivityCounters::new(), Vec::new())
-            .expect("not poisoned");
+        let trace = finish(rec).expect("not poisoned");
         assert_eq!(trace.guards.len(), 2);
         assert_eq!(trace.guards[0].column, 0);
         assert_eq!(trace.guards[1].column, 1);
@@ -451,9 +695,7 @@ mod tests {
             op: ShuffleOp::EvenPrune,
         });
         rec.begin_segment(0);
-        let trace = rec
-            .finish("k".into(), 3, ActivityCounters::new(), Vec::new())
-            .expect("not poisoned");
+        let trace = finish(rec).expect("not poisoned");
         assert_eq!(trace.segments.len(), 1);
         assert_eq!(trace.segments[0].len, 1);
         assert_eq!(trace.len(), 1);

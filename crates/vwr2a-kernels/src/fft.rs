@@ -772,6 +772,31 @@ mod tests {
     }
 
     #[test]
+    fn warm_stage_launches_replay_and_change_no_modelled_number() {
+        // The stage program bumps its output pointer (SRF[6]/SRF[7]) with
+        // `AddSrf` before the second store; the pointer stays a pure
+        // function of the guarded parameters, so the launches replay.
+        let n = 256;
+        let kernel = FftKernel::new(n).unwrap();
+        let mut replay = Session::new();
+        let mut interp = Session::new();
+        interp.set_replay(false);
+        for window in 0..20 {
+            let (re, im, _) = q16_signal(n, 1.0 + window as f64);
+            let input = Spectrum::new(re, im);
+            let (out_on, mut rep_on) = replay.run(&kernel, &input).unwrap();
+            let (out_off, rep_off) = interp.run(&kernel, &input).unwrap();
+            assert_eq!(out_on, out_off, "window {window}");
+            if window > 0 {
+                assert_eq!(rep_on.replayed, rep_on.launches(), "window {window}");
+            }
+            assert_eq!(rep_off.replayed, 0);
+            rep_on.replayed = 0;
+            assert_eq!(rep_on, rep_off, "window {window}");
+        }
+    }
+
+    #[test]
     fn five_hundred_twelve_point_complex_fft_runs_and_is_correct() {
         let n = 512;
         let (re, im, float) = q16_signal(n, 20.0);

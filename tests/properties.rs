@@ -339,14 +339,77 @@ fn cap_srf_accesses(mut instr: RcInstr) -> RcInstr {
     instr
 }
 
+/// How a [`replay_kernel`] derives its line pointers beyond the host
+/// parameters `SRF[6]`/`SRF[7]`.
+#[derive(Debug, Clone, Copy)]
+enum Addressing {
+    /// The host-written pointers only.
+    Params,
+    /// A pointer bump: `AddSrf { srf: 7, imm }` between two stores through
+    /// `SRF[7]`.  The bumped pointer is a pure function of the guarded
+    /// parameter, so launches must replay.
+    Bump(i16),
+    /// `SRF[srf]` is loaded from the SPM word `ptr_words[pick]` before the
+    /// access through it: tainted, so launches must interpret.
+    SpmLoaded { srf: u8, pick: usize },
+    /// `SRF[srf]` is an RC result (`SRF[from] & (lines - 1)`, always a
+    /// valid line) before the access through it: tainted, so launches
+    /// must interpret.
+    RcResult { srf: u8, from: u8 },
+}
+
+impl Addressing {
+    fn is_pure(self) -> bool {
+        matches!(self, Addressing::Params | Addressing::Bump(_))
+    }
+}
+
+fn arb_addressing() -> impl Strategy<Value = Addressing> {
+    prop_oneof![
+        Just(Addressing::Params),
+        (-2i16..3).prop_map(Addressing::Bump),
+        (6u8..8, any::<usize>()).prop_map(|(srf, pick)| Addressing::SpmLoaded { srf, pick }),
+        (6u8..8, 0u8..6).prop_map(|(srf, from)| Addressing::RcResult { srf, from }),
+    ]
+}
+
 /// Builds a single-column kernel around a random RC body: the VWR loads
 /// and the final store take their line addresses from `SRF[6]`/`SRF[7]`
-/// (addressing parameters the replay cache must guard), while the body's
-/// own SRF reads and writes land anywhere — including on those pointers,
-/// which exercises the recorder's write-then-consume poisoning.
-fn replay_kernel(name: &str, body: &[RcInstr]) -> vwr2a::core::KernelProgram {
+/// (addressing parameters the replay cache must guard, unless `addressing`
+/// derives one from data first), while the body's own SRF reads and writes
+/// land anywhere — including on those pointers, which exercises the
+/// recorder's taint tracking.  `ptr_words` are SPM words holding valid
+/// line numbers for [`Addressing::SpmLoaded`].
+fn replay_kernel(
+    name: &str,
+    body: &[RcInstr],
+    addressing: Addressing,
+    ptr_words: &[u16],
+    lines: usize,
+) -> vwr2a::core::KernelProgram {
     use vwr2a::core::builder::ColumnProgramBuilder;
     let mut b = ColumnProgramBuilder::new(4);
+    match addressing {
+        Addressing::Params | Addressing::Bump(_) => {}
+        Addressing::SpmLoaded { srf, pick } => {
+            b.push(b.row().lsu(LsuInstr::LoadSrf {
+                srf,
+                word: LsuAddr::Imm(ptr_words[pick % ptr_words.len()]),
+            }));
+        }
+        Addressing::RcResult { srf, from } => {
+            b.push(b.row().rc(
+                0,
+                RcInstr::new(
+                    RcOpcode::And,
+                    RcDst::Reg(0),
+                    RcSrc::Srf(from),
+                    RcSrc::Imm(lines as i16 - 1),
+                ),
+            ));
+            b.push(b.row().rc(0, RcInstr::mov(RcDst::Srf(srf), RcSrc::Reg(0))));
+        }
+    }
     b.push(b.row().lsu(LsuInstr::LoadVwr {
         vwr: VwrId::A,
         line: LsuAddr::Srf(6),
@@ -358,10 +421,15 @@ fn replay_kernel(name: &str, body: &[RcInstr]) -> vwr2a::core::KernelProgram {
     for (i, instr) in body.iter().enumerate() {
         b.push(b.row().rc(i % 4, cap_srf_accesses(*instr)));
     }
-    b.push(b.row().lsu(LsuInstr::StoreVwr {
+    let store = b.row().lsu(LsuInstr::StoreVwr {
         vwr: VwrId::C,
         line: LsuAddr::Srf(7),
-    }));
+    });
+    b.push(store.clone());
+    if let Addressing::Bump(imm) = addressing {
+        b.push(b.row().lsu(LsuInstr::AddSrf { srf: 7, imm }));
+        b.push(store);
+    }
     b.push_exit();
     vwr2a::core::KernelProgram::new(name.to_string(), vec![b.build().unwrap()]).unwrap()
 }
@@ -536,6 +604,7 @@ proptest! {
     fn replay_cache_is_invisible_under_random_kernels_params_and_evictions(
         bodies in prop::collection::vec(prop::collection::vec(arb_rc_instr(), 4), 3),
         body_lens in prop::collection::vec(1usize..5, 3),
+        addressing in prop::collection::vec(arb_addressing(), 3),
         script in prop::collection::vec(
             (0usize..4, 0usize..8, -2_000i32..2_000, any::<bool>()),
             12,
@@ -561,14 +630,22 @@ proptest! {
         on.dma_to_spm(&seed, 0).unwrap();
         off.dma_to_spm(&seed, 0).unwrap();
 
+        let lines = on.spm().lines();
+        prop_assert!(lines.is_power_of_two(), "RcResult masks with lines - 1");
+        let ptr_words: Vec<u16> = (0..seed.len())
+            .filter(|&w| (0..lines as i32).contains(&seed[w]))
+            .map(|w| w as u16)
+            .collect();
         let kernels: Vec<_> = bodies
             .iter()
             .zip(&body_lens)
+            .zip(&addressing)
             .enumerate()
-            .map(|(i, (body, &len))| replay_kernel(&format!("rand-{i}"), &body[..len]))
+            .map(|(i, ((body, &len), &addr))| {
+                replay_kernel(&format!("rand-{i}"), &body[..len], addr, &ptr_words, lines)
+            })
             .collect();
         let mut ids: Vec<Option<(KernelId, KernelId)>> = vec![None; kernels.len()];
-        let lines = on.spm().lines();
 
         for &(pick, srf, value, evict) in &script[..steps] {
             let pick = pick % kernels.len();
@@ -611,6 +688,43 @@ proptest! {
             prop_assert_eq!(on.counters(), off.counters());
             prop_assert_eq!(on.spm(), off.spm());
             prop_assert_eq!(on.column(0).unwrap(), off.column(0).unwrap());
+        }
+
+        // Coverage, not just agreement: with valid pointers and unchanged
+        // parameters, a kernel whose addressing is pure (and whose body
+        // leaves the pointers alone) replays its second launch, while a
+        // kernel addressing through data-derived pointers never replays.
+        for (pick, kernel) in kernels.iter().enumerate() {
+            let (id_on, id_off) = match ids[pick] {
+                Some(ids) => ids,
+                None => (
+                    on.load_kernel(kernel).unwrap(),
+                    off.load_kernel(kernel).unwrap(),
+                ),
+            };
+            let writes_pointer = bodies[pick][..body_lens[pick]]
+                .iter()
+                .any(|instr| matches!(instr.dst, RcDst::Srf(6 | 7)));
+            for launch in 0..2 {
+                // Rewritten per launch: a pointer bump leaves SRF[7] moved.
+                for (srf, value) in [(6, 0), (7, 8)] {
+                    on.write_srf(0, srf, value).unwrap();
+                    off.write_srf(0, srf, value).unwrap();
+                }
+                let before = on.replays();
+                let ra = on.run_kernel(id_on);
+                let rb = off.run_kernel(id_off);
+                prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+                prop_assert_eq!(on.counters(), off.counters());
+                prop_assert_eq!(on.spm(), off.spm());
+                prop_assert_eq!(on.column(0).unwrap(), off.column(0).unwrap());
+                let replayed = on.replays() > before;
+                if !addressing[pick].is_pure() {
+                    prop_assert!(!replayed, "a data-derived pointer replayed");
+                } else if launch == 1 && !writes_pointer {
+                    prop_assert!(replayed, "a pure pointer launch interpreted");
+                }
+            }
         }
     }
 
